@@ -1,5 +1,7 @@
 #include "core/mead_wire.h"
 
+#include <algorithm>
+
 namespace mead::core {
 
 using giop::ByteOrder;
@@ -12,11 +14,14 @@ namespace {
 // MEAD message kinds (only fail-over exists on the piggyback path).
 constexpr giop::MsgType kFailoverType = giop::MsgType::kRequest;
 
-Bytes ctrl_frame(CtrlKind kind, const Bytes& body) {
-  Bytes out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<std::uint8_t>(kind));
-  append_bytes(out, body);
+// A control payload is the kind byte followed by a CDR body whose alignment
+// is relative to the body's first byte. Encoders write the body behind a
+// reserved kind byte and fill it in afterwards: one pass, no re-wrap.
+CdrWriter ctrl_writer() { return CdrWriter::with_prefix(1); }
+
+Bytes finish(CdrWriter& w, CtrlKind kind) {
+  Bytes out = w.take();
+  out[0] = static_cast<std::uint8_t>(kind);
   return out;
 }
 
@@ -71,52 +76,52 @@ std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame) {
 }
 
 Bytes encode_announce(const Announce& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   write_announce(w, m);
-  return ctrl_frame(CtrlKind::kAnnounce, w.buffer());
+  return finish(w, CtrlKind::kAnnounce);
 }
 
 Bytes encode_listing(const Listing& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kListing, w.buffer());
+  return finish(w, CtrlKind::kListing);
 }
 
 Bytes encode_launch_request(const LaunchRequest& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_double(m.usage);
-  return ctrl_frame(CtrlKind::kLaunchRequest, w.buffer());
+  return finish(w, CtrlKind::kLaunchRequest);
 }
 
 Bytes encode_primary_query(const PrimaryQuery& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.reply_group);
   w.write_u64(m.nonce);
-  return ctrl_frame(CtrlKind::kPrimaryQuery, w.buffer());
+  return finish(w, CtrlKind::kPrimaryQuery);
 }
 
 Bytes encode_primary_answer(const PrimaryAnswer& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_string(m.endpoint.host);
   w.write_u16(m.endpoint.port);
   w.write_u64(m.nonce);
-  return ctrl_frame(CtrlKind::kPrimaryAnswer, w.buffer());
+  return finish(w, CtrlKind::kPrimaryAnswer);
 }
 
 Bytes encode_read_set(const ReadSet& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_u64(m.version);
   w.write_string(m.primary);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kReadSet, w.buffer());
+  return finish(w, CtrlKind::kReadSet);
 }
 
 Bytes encode_read_set_delta(const ReadSetDelta& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_u64(m.base_version);
   w.write_u64(m.version);
   w.write_string(m.primary);
@@ -124,134 +129,137 @@ Bytes encode_read_set_delta(const ReadSetDelta& m) {
   for (const auto& name : m.removed) w.write_string(name);
   w.write_u32(static_cast<std::uint32_t>(m.added.size()));
   for (const auto& e : m.added) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kReadSetDelta, w.buffer());
+  return finish(w, CtrlKind::kReadSetDelta);
 }
 
 Bytes encode_node_crash(const NodeCrash& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.host);
-  return ctrl_frame(CtrlKind::kNodeCrash, w.buffer());
+  return finish(w, CtrlKind::kNodeCrash);
 }
 
 Bytes encode_launch_failed(const LaunchFailed& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.service);
   w.write_u32(static_cast<std::uint32_t>(m.incarnation));
-  return ctrl_frame(CtrlKind::kLaunchFailed, w.buffer());
+  return finish(w, CtrlKind::kLaunchFailed);
 }
 
 Bytes encode_state(const StateTransfer& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_u64(m.version);
   w.write_octet_seq(m.state);
-  return ctrl_frame(CtrlKind::kState, w.buffer());
+  return finish(w, CtrlKind::kState);
 }
 
-Bytes encode_ckpt_delta(const CkptDelta& m) {
-  CdrWriter w;
-  w.write_string(m.member);
-  w.write_u64(m.nonce);
-  w.write_u64(m.epoch);
-  w.write_u64(m.base_epoch);
-  w.write_bool(m.is_base);
-  w.write_u64(m.applied);
-  w.write_u64(m.prev_digest);
-  w.write_u64(m.digest);
-  w.write_u32(m.value_pad);
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  const Bytes pad(m.value_pad, 0);
-  for (const auto& [key, value] : m.entries) {
+Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
+                        std::uint32_t value_pad, const state::Checkpoint& c) {
+  CdrWriter w = ctrl_writer();
+  // Header + per entry: u32 key, u64 value, value_pad bytes, alignment.
+  w.reserve(1 + 96 + member.size() + c.entries.size() * (20 + value_pad));
+  w.write_string(member);
+  w.write_u64(nonce);
+  w.write_u64(c.epoch);
+  w.write_u64(c.base_epoch);
+  w.write_bool(c.is_base);
+  w.write_u64(c.applied);
+  w.write_u64(c.prev_digest);
+  w.write_u64(c.digest);
+  w.write_u32(value_pad);
+  w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
+  const Bytes pad(value_pad, 0);
+  for (const auto& [key, value] : c.entries) {
     w.write_u32(key);
     w.write_u64(value);
-    if (m.value_pad > 0) w.write_raw(pad);
+    if (value_pad > 0) w.write_raw(pad);
   }
-  return ctrl_frame(CtrlKind::kCkptDelta, w.buffer());
+  return finish(w, CtrlKind::kCkptDelta);
 }
 
 Bytes encode_ckpt_request(const CkptRequest& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u64(m.have_epoch);
-  return ctrl_frame(CtrlKind::kCkptRequest, w.buffer());
+  return finish(w, CtrlKind::kCkptRequest);
 }
 
 Bytes encode_log_replay(const LogReplay& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u64(m.applied);
   w.write_u64(m.digest);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (std::uint64_t seq : m.entries) w.write_u64(seq);
-  return ctrl_frame(CtrlKind::kLogReplay, w.buffer());
+  return finish(w, CtrlKind::kLogReplay);
 }
 
 Bytes encode_read_set_nack(const ReadSetNack& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.service);
   w.write_u64(m.have_version);
-  return ctrl_frame(CtrlKind::kReadSetNack, w.buffer());
+  return finish(w, CtrlKind::kReadSetNack);
 }
 
 Bytes encode_alive_epoch(const AliveEpoch& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_u64(m.epoch);
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (const auto& host : m.alive) w.write_string(host);
-  return ctrl_frame(CtrlKind::kAliveEpoch, w.buffer());
+  return finish(w, CtrlKind::kAliveEpoch);
 }
 
 Bytes encode_node_join(const NodeJoin& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.host);
-  return ctrl_frame(CtrlKind::kNodeJoin, w.buffer());
+  return finish(w, CtrlKind::kNodeJoin);
 }
 
 Bytes encode_retire(const Retire& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.service);
   w.write_string(m.member);
-  return ctrl_frame(CtrlKind::kRetire, w.buffer());
+  return finish(w, CtrlKind::kRetire);
 }
 
 Bytes encode_usage_report(const UsageReport& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_double(m.usage);
   w.write_u64(m.at_ms);
-  return ctrl_frame(CtrlKind::kUsageReport, w.buffer());
+  return finish(w, CtrlKind::kUsageReport);
 }
 
 Bytes encode_handoff(const Handoff& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.service);
   w.write_string(m.victim);
   w.write_string(m.successor);
-  return ctrl_frame(CtrlKind::kHandoff, w.buffer());
+  return finish(w, CtrlKind::kHandoff);
 }
 
 Bytes encode_quorum_set(const ReadSet& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_u64(m.version);
   w.write_string(m.primary);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
   w.write_u32(static_cast<std::uint32_t>(m.catching_up.size()));
   for (const auto& name : m.catching_up) w.write_string(name);
-  return ctrl_frame(CtrlKind::kQuorumSet, w.buffer());
+  return finish(w, CtrlKind::kQuorumSet);
 }
 
 Bytes encode_catchup_done(const CatchupDone& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.service);
   w.write_string(m.member);
-  return ctrl_frame(CtrlKind::kCatchupDone, w.buffer());
+  return finish(w, CtrlKind::kCatchupDone);
 }
 
 Bytes encode_reply_cache(const ReplyCache& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer();
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
@@ -259,15 +267,20 @@ Bytes encode_reply_cache(const ReplyCache& m) {
     w.write_u64(client_id);
     w.write_u64(seq);
   }
-  return ctrl_frame(CtrlKind::kReplyCache, w.buffer());
+  return finish(w, CtrlKind::kReplyCache);
+}
+
+std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
+  if (payload.empty()) return std::nullopt;
+  return static_cast<CtrlKind>(payload[0]);
 }
 
 std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
   if (payload.empty()) return std::nullopt;
   CtrlMsg msg;
   const auto kind = payload[0];
-  const Bytes body(payload.begin() + 1, payload.end());
-  CdrReader r(body, ByteOrder::kLittleEndian);
+  // The body starts after the kind byte; CDR alignment is relative to it.
+  CdrReader r(payload, ByteOrder::kLittleEndian, 1);
   switch (static_cast<CtrlKind>(kind)) {
     case CtrlKind::kAnnounce: {
       msg.kind = CtrlKind::kAnnounce;
@@ -406,6 +419,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
     case CtrlKind::kCkptDelta: {
       msg.kind = CtrlKind::kCkptDelta;
       CkptDelta d;
+      state::Checkpoint& c = d.checkpoint;
       auto member = r.read_string();
       if (!member) return std::nullopt;
       d.member = std::move(member.value());
@@ -414,35 +428,39 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       d.nonce = nonce.value();
       auto epoch = r.read_u64();
       if (!epoch) return std::nullopt;
-      d.epoch = epoch.value();
+      c.epoch = epoch.value();
       auto base = r.read_u64();
       if (!base) return std::nullopt;
-      d.base_epoch = base.value();
+      c.base_epoch = base.value();
       auto is_base = r.read_bool();
       if (!is_base) return std::nullopt;
-      d.is_base = is_base.value();
+      c.is_base = is_base.value();
       auto applied = r.read_u64();
       if (!applied) return std::nullopt;
-      d.applied = applied.value();
+      c.applied = applied.value();
       auto prev_digest = r.read_u64();
       if (!prev_digest) return std::nullopt;
-      d.prev_digest = prev_digest.value();
+      c.prev_digest = prev_digest.value();
       auto digest = r.read_u64();
       if (!digest) return std::nullopt;
-      d.digest = digest.value();
+      c.digest = digest.value();
       auto pad = r.read_u32();
       if (!pad) return std::nullopt;
       d.value_pad = pad.value();
       auto n = r.read_u32();
       if (!n) return std::nullopt;
-      d.entries.reserve(n.value());
+      // Every entry takes at least 12 + value_pad bytes: a corrupt count
+      // cannot reserve more than the frame could hold.
+      const std::size_t min_entry = 12 + static_cast<std::size_t>(d.value_pad);
+      c.entries.reserve(std::min<std::size_t>(n.value(),
+                                              r.remaining() / min_entry));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto key = r.read_u32();
         if (!key) return std::nullopt;
         auto value = r.read_u64();
         if (!value) return std::nullopt;
-        if (d.value_pad > 0 && !r.read_raw(d.value_pad)) return std::nullopt;
-        d.entries.emplace_back(key.value(), value.value());
+        if (!r.skip(d.value_pad)) return std::nullopt;
+        c.entries.emplace_back(key.value(), value.value());
       }
       msg.ckpt_delta = std::move(d);
       return msg;

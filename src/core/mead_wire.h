@@ -9,12 +9,14 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
 #include "giop/messages.h"
 #include "giop/types.h"
 #include "net/types.h"
+#include "state/checkpoint.h"
 
 namespace mead::core {
 
@@ -188,14 +190,10 @@ struct CkptDelta {
   CkptDelta() = default;
   std::string member;        // sending primary
   std::uint64_t nonce = 0;   // 0 = periodic; else echo of CkptRequest.nonce
-  std::uint64_t epoch = 0;
-  std::uint64_t base_epoch = 0;
-  bool is_base = false;
-  std::uint64_t applied = 0;
-  std::uint64_t prev_digest = 0;
-  std::uint64_t digest = 0;
   std::uint32_t value_pad = 0;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+  /// Decoded straight into the store's type, so a mirror moves it into its
+  /// chain without copying the entries.
+  state::Checkpoint checkpoint;
   friend bool operator==(const CkptDelta&, const CkptDelta&) = default;
 };
 
@@ -334,7 +332,13 @@ Bytes encode_primary_answer(const PrimaryAnswer& m);
 Bytes encode_state(const StateTransfer& m);
 Bytes encode_node_crash(const NodeCrash& m);
 Bytes encode_launch_failed(const LaunchFailed& m);
-Bytes encode_ckpt_delta(const CkptDelta& m);
+/// Encodes a stored checkpoint as `member`'s kCkptDelta without building a
+/// CkptDelta (no copy of the entries).
+Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
+                        std::uint32_t value_pad, const state::Checkpoint& c);
+inline Bytes encode_ckpt_delta(const CkptDelta& m) {
+  return encode_ckpt_delta(m.member, m.nonce, m.value_pad, m.checkpoint);
+}
 Bytes encode_ckpt_request(const CkptRequest& m);
 Bytes encode_log_replay(const LogReplay& m);
 Bytes encode_read_set_nack(const ReadSetNack& m);
@@ -375,6 +379,12 @@ struct CtrlMsg {
   std::optional<CatchupDone> catchup_done;  // kCatchupDone
   std::optional<ReplyCache> reply_cache;  // kReplyCache
 };
+
+/// The kind byte of a control payload, without decoding the body; nullopt
+/// for an empty payload. Subscribers use it to drop kinds they ignore (a
+/// checkpoint base is hundreds of KB) before paying for a full decode. The
+/// value is unchecked: an unknown kind still fails decode_ctrl.
+std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload);
 
 std::optional<CtrlMsg> decode_ctrl(const Bytes& payload);
 

@@ -126,6 +126,16 @@ std::optional<GroupView> RmCore::view(const std::string& service) const {
 
 RmCore::Actions RmCore::on_event(const gc::Event& event) {
   Actions out;
+  if (event.kind == gc::Event::Kind::kMessage) {
+    // Checkpoint, log-replay and reply-cache frames share the ckpt channel
+    // with the frames the RM acts on, but carry nothing for it: drop them
+    // before paying for a decode (or a readmission-buffer copy).
+    const auto kind = peek_ctrl_kind(event.payload);
+    if (kind == CtrlKind::kCkptDelta || kind == CtrlKind::kLogReplay ||
+        kind == CtrlKind::kReplyCache) {
+      return out;
+    }
+  }
   if (readmit_anchor_seen_) {
     // A readmission is in flight and our own request has passed in the
     // total order (the snapshot point). Buffer every later event instead

@@ -122,6 +122,12 @@ sim::Task<void> ServerMead::gc_pump() {
 }
 
 void ServerMead::handle_ctrl(const gc::Event& ev) {
+  // Our own checkpoint pushes come back through the total order; only the
+  // mirrors use them, so skip the decode (a base is hundreds of KB).
+  if (peek_ctrl_kind(ev.payload) == CtrlKind::kCkptDelta &&
+      ev.sender == cfg_.member) {
+    return;
+  }
   auto ctrl = decode_ctrl(ev.payload);
   if (!ctrl) return;
   switch (ctrl->kind) {
@@ -214,7 +220,7 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
     }
     case CtrlKind::kCkptDelta:
       if (app_state_ && ctrl->ckpt_delta->member != cfg_.member) {
-        handle_ckpt_delta(*ctrl->ckpt_delta);
+        handle_ckpt_delta(std::move(*ctrl->ckpt_delta));
       }
       break;
     case CtrlKind::kLogReplay:
@@ -403,18 +409,7 @@ std::uint64_t ServerMead::make_nonce() {
 
 Bytes ServerMead::ckpt_wire(const state::Checkpoint& c,
                             std::uint64_t nonce) const {
-  CkptDelta d;
-  d.member = cfg_.member;
-  d.nonce = nonce;
-  d.epoch = c.epoch;
-  d.base_epoch = c.base_epoch;
-  d.is_base = c.is_base;
-  d.applied = c.applied;
-  d.prev_digest = c.prev_digest;
-  d.digest = c.digest;
-  d.value_pad = cfg_.state.value_pad;
-  d.entries = c.entries;
-  return encode_ckpt_delta(d);
+  return encode_ckpt_delta(cfg_.member, nonce, cfg_.state.value_pad, c);
 }
 
 sim::Task<void> ServerMead::checkpoint_loop() {
@@ -476,10 +471,11 @@ void ServerMead::drain_pull_pending() {
   // unblock the next.
   while (!pull_pending_.empty()) {
     auto it = pull_pending_.begin();
-    switch (ckpt_store_->apply(it->second, *app_state_)) {
+    const bool is_base = it->second.is_base;
+    switch (ckpt_store_->apply(std::move(it->second), *app_state_)) {
       case state::CheckpointStore::Apply::kApplied:
         ++stats_.ckpt_applied;
-        if (it->second.is_base) restore_base_seen_ = true;
+        if (is_base) restore_base_seen_ = true;
         pull_pending_.erase(it);
         continue;
       case state::CheckpointStore::Apply::kStale:
@@ -559,16 +555,18 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
       << cfg_.member << " answering restore for " << requester << " (stripe "
       << rank << "/" << ranks << ")";
   if (rank == 0 && !ckpt_store_->has_base()) co_await push_checkpoint();
-  // Copy the chain: the store may rebase underneath the multicasts.
-  const std::vector<state::Checkpoint> chain(ckpt_store_->chain().begin(),
-                                             ckpt_store_->chain().end());
-  for (const auto& c : chain) {
+  // Encode the whole stripe before the first multicast suspends us: the
+  // store may rebase underneath the multicasts, and the frames pin the
+  // chain as it is now without copying it.
+  std::vector<Bytes> frames;
+  for (const auto& c : ckpt_store_->chain()) {
     // Stripe ownership: the base (and everything, when solo) belongs to
     // rank 0; delta epoch e belongs to rank e % ranks.
     const bool mine = c.is_base ? rank == 0
                                 : (ranks <= 1 || c.epoch % ranks == rank);
-    if (!mine) continue;
-    Bytes frame = ckpt_wire(c, nonce);
+    if (mine) frames.push_back(ckpt_wire(c, nonce));
+  }
+  for (Bytes& frame : frames) {
     ckpt_bytes_->add(frame.size());
     (void)co_await gc_->multicast(ckpt_group(cfg_.service), std::move(frame));
   }
@@ -598,23 +596,19 @@ sim::Task<void> ServerMead::request_resync() {
                                       ckpt_store_->last_epoch()}));
 }
 
-void ServerMead::handle_ckpt_delta(const CkptDelta& d) {
-  state::Checkpoint c;
-  c.epoch = d.epoch;
-  c.base_epoch = d.base_epoch;
-  c.is_base = d.is_base;
-  c.applied = d.applied;
-  c.prev_digest = d.prev_digest;
-  c.digest = d.digest;
-  c.entries = d.entries;
+void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
+  // The decoded checkpoint moves into the chain (apply leaves it intact
+  // unless it was applied).
+  state::Checkpoint& c = d.checkpoint;
   if (restoring_) {
     // Only the directed stream we asked for; periodic pushes would
     // interleave mid-chain and always gap.
     if (d.nonce == 0 || d.nonce != await_nonce_) return;
-    switch (ckpt_store_->apply(c, *app_state_)) {
+    const bool is_base = c.is_base;
+    switch (ckpt_store_->apply(std::move(c), *app_state_)) {
       case state::CheckpointStore::Apply::kApplied:
         ++stats_.ckpt_applied;
-        if (c.is_base) restore_base_seen_ = true;
+        if (is_base) restore_base_seen_ = true;
         if (cfg_.state.pull_restore) {
           drain_pull_pending();
           try_pull_replay();
@@ -636,7 +630,7 @@ void ServerMead::handle_ckpt_delta(const CkptDelta& d) {
   }
   if (d.nonce != 0 && d.nonce != await_nonce_) return;
   if (registry_.is_first(cfg_.member)) return;  // the primary is the source
-  switch (ckpt_store_->apply(c, *app_state_)) {
+  switch (ckpt_store_->apply(std::move(c), *app_state_)) {
     case state::CheckpointStore::Apply::kApplied:
       ++stats_.ckpt_applied;
       break;

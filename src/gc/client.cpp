@@ -1,11 +1,15 @@
 #include "gc/client.h"
 
+#include <limits>
+
 #include "gc/daemon.h"
 
 namespace mead::gc {
 
 namespace {
-constexpr std::size_t kReadChunk = 64 * 1024;
+// Reads take everything the inbox holds: a frame that arrived as one
+// delivery then moves from the inbox through the framer without a copy.
+constexpr std::size_t kWholeInbox = std::numeric_limits<std::size_t>::max();
 }
 
 GcClient::GcClient(net::Process& proc, std::string member_name,
@@ -51,9 +55,9 @@ void GcClient::decode_frames() {
   for (;;) {
     auto frame = framer_.next();
     if (!frame) break;
-    switch (frame->op) {
+    switch (frame->op()) {
       case Op::kDeliver: {
-        auto m = decode_deliver(frame->payload);
+        auto m = decode_deliver(*frame);
         if (!m) break;
         Event ev;
         ev.kind = Event::Kind::kMessage;
@@ -65,7 +69,7 @@ void GcClient::decode_frames() {
         break;
       }
       case Op::kView: {
-        auto m = decode_view(frame->payload);
+        auto m = decode_view(*frame);
         if (!m) break;
         Event ev;
         ev.kind = Event::Kind::kView;
@@ -90,13 +94,13 @@ std::optional<Event> GcClient::pop_buffered() {
 
 sim::Task<Expected<std::size_t, net::NetErr>> GcClient::pump() {
   if (fd_ < 0) co_return make_unexpected(net::NetErr::kBadFd);
-  auto data = co_await proc_.api().read(fd_, kReadChunk, Duration{0});
+  auto data = co_await proc_.api().read(fd_, kWholeInbox, Duration{0});
   if (!data) {
     if (data.error() == net::NetErr::kTimeout) co_return std::size_t{0};
     co_return make_unexpected(data.error());
   }
   if (data->empty()) co_return make_unexpected(net::NetErr::kPeerReset);
-  framer_.feed(data.value());
+  framer_.feed(std::move(data.value()));
   const std::size_t before = buffered_.size();
   decode_frames();
   co_return buffered_.size() - before;
@@ -114,13 +118,13 @@ sim::Task<Expected<std::optional<Event>, net::NetErr>> GcClient::next_event(
       if (proc_.sim().now() >= *deadline) co_return std::optional<Event>{};
       remaining = *deadline - proc_.sim().now();
     }
-    auto data = co_await proc_.api().read(fd_, kReadChunk, remaining);
+    auto data = co_await proc_.api().read(fd_, kWholeInbox, remaining);
     if (!data) {
       if (data.error() == net::NetErr::kTimeout) co_return std::optional<Event>{};
       co_return make_unexpected(data.error());
     }
     if (data->empty()) co_return make_unexpected(net::NetErr::kPeerReset);
-    framer_.feed(data.value());
+    framer_.feed(std::move(data.value()));
     decode_frames();
   }
 }

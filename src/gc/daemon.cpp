@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -9,7 +11,9 @@
 namespace mead::gc {
 
 namespace {
-constexpr std::size_t kReadChunk = 64 * 1024;
+// Reads take everything the inbox holds: a frame that arrived as one
+// delivery then moves from the inbox through the framer without a copy.
+constexpr std::size_t kWholeInbox = std::numeric_limits<std::size_t>::max();
 }
 
 GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
@@ -236,11 +240,20 @@ void GcDaemon::spawn_write(int fd, Bytes data) {
   proc_->sim().spawn(writer(*proc_, fd, std::move(data)));
 }
 
+void GcDaemon::mesh_send(int fd, Bytes&& frame) {
+  if (!cfg_.plane.batching) {
+    spawn_write(fd, std::move(frame));
+    return;
+  }
+  mesh_send(fd, std::as_const(frame));
+}
+
 void GcDaemon::mesh_send(int fd, const Bytes& frame) {
   if (!cfg_.plane.batching) {
     spawn_write(fd, frame);
     return;
   }
+  // Appending keeps the batch buffer's capacity from flush to flush.
   Batch& b = batches_[fd];
   append_bytes(b.buf, frame);
   ++b.frames;
@@ -291,11 +304,11 @@ sim::Task<void> GcDaemon::batch_flush_task(int fd, std::uint64_t epoch) {
 
 sim::Task<void> GcDaemon::connection_loop(int fd) {
   for (;;) {
-    auto data = co_await proc_->api().read(fd, kReadChunk);
+    auto data = co_await proc_->api().read(fd, kWholeInbox);
     if (!data || data->empty()) break;  // EOF or error
     auto it = conns_.find(fd);
     if (it == conns_.end()) co_return;
-    it->second.framer.feed(data.value());
+    it->second.framer.feed(std::move(data.value()));
     for (;;) {
       // Re-find each iteration: handling a frame can mutate conns_.
       auto cur = conns_.find(fd);
@@ -323,9 +336,9 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
     peer_last_seen_[st.peer_id] = proc_->sim().now();
   }
 
-  switch (frame.op) {
+  switch (frame.op()) {
     case Op::kHello: {
-      auto m = decode_hello(frame.payload);
+      auto m = decode_hello(frame);
       if (!m) return;
       st.role = ConnState::Role::kClient;
       st.client_name = m->name;
@@ -340,7 +353,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kJoin: {
-      auto m = decode_group(frame.payload);
+      auto m = decode_group(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.insert(m->group);
       OrderedMsg join;
@@ -351,7 +364,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kLeave: {
-      auto m = decode_group(frame.payload);
+      auto m = decode_group(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.erase(m->group);
       OrderedMsg leave;
@@ -362,7 +375,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kMcast: {
-      auto m = decode_mcast(frame.payload);
+      auto m = decode_mcast(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       OrderedMsg data;
       data.kind = PayloadKind::kData;
@@ -373,7 +386,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kPeerHello: {
-      auto m = decode_peer_hello(frame.payload);
+      auto m = decode_peer_hello(frame);
       if (!m) return;
       st.role = ConnState::Role::kPeer;
       st.peer_id = m->daemon_id;
@@ -397,31 +410,31 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kSubmit: {
-      auto m = decode_ordered_like(frame.payload);
+      auto m = decode_ordered_like(frame);
       if (!m) return;
       route_submit(std::move(m.value()), fd);
       break;
     }
     case Op::kRejoin: {
-      auto m = decode_rejoin(frame.payload);
+      auto m = decode_rejoin(frame);
       if (!m) return;
       handle_rejoin(fd, m.value());
       break;
     }
     case Op::kStateSync: {
-      auto m = decode_state_sync(frame.payload);
+      auto m = decode_state_sync(frame);
       if (!m) return;
       handle_state_sync(fd, m.value());
       break;
     }
     case Op::kAliveSet: {
-      auto m = decode_alive_set(frame.payload);
+      auto m = decode_alive_set(frame);
       if (!m) return;
       adopt_alive_set(m->alive, fd);
       break;
     }
     case Op::kOrdered: {
-      auto m = decode_ordered_like(frame.payload);
+      auto m = decode_ordered_like(frame);
       if (!m) return;
       // Freshness gate before handling: bridge targets get exactly the
       // ordered traffic we accept, and a forwarded duplicate bouncing back
@@ -440,7 +453,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kSeqWatermark: {
-      auto m = decode_seq_watermark(frame.payload);
+      auto m = decode_seq_watermark(frame);
       if (!m) return;
       // Ratchet: our counter never falls below any peer's announced
       // frontier, so whichever daemon inherits a group on the next alive-set
@@ -451,7 +464,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kFrameBatch: {
-      auto frames = decode_frame_batch(frame.payload);
+      auto frames = decode_frame_batch(frame);
       if (!frames) return;
       // Unpack and handle in order; batches never nest, so this recursion
       // is depth one.
@@ -459,7 +472,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kBridge: {
-      auto m = decode_bridge(frame.payload);
+      auto m = decode_bridge(frame);
       if (!m) return;
       if (m->on) {
         bridge_targets_.insert(m->daemon_id);
@@ -479,21 +492,27 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
 void GcDaemon::submit(OrderedMsg m) {
   m.origin = cfg_.self_index;
   m.msg_id = next_msg_id_++;
-  pending_.push_back(m);
-  if (!mesh_ready()) return;  // flushed by on_peer_link_up()
+  if (!mesh_ready()) {  // flushed by on_peer_link_up()
+    pending_.push_back(std::move(m));
+    return;
+  }
   const std::uint64_t owner = stamper_for(m.group);
   if (owner == cfg_.self_index) {
+    // Stamped and applied right here, so it would leave pending_ before
+    // anything could read it there: skip the retention copy.
     stamp_and_dispatch(std::move(m));
-  } else {
-    auto it = peer_fds_.find(owner);
-    // Bridged regime: relay toward the unlinked stamper via the lowest-id
-    // linked peer (see flush_pending).
-    if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
-    if (it != peer_fds_.end()) {
-      mesh_send(it->second, encode_submit(m));
-    }
-    // If the stamper link is down, handle_peer_gone will resubmit.
+    return;
   }
+  auto it = peer_fds_.find(owner);
+  // Bridged regime: relay toward the unlinked stamper via the lowest-id
+  // linked peer (see flush_pending).
+  if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
+  if (it != peer_fds_.end()) {
+    mesh_send(it->second, encode_submit(m));
+  }
+  // Retained until seen ordered; if the stamper link is down,
+  // handle_peer_gone will resubmit.
+  pending_.push_back(std::move(m));
 }
 
 void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
@@ -528,7 +547,7 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
 
 void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
   m.seq = next_seq_++;
-  const Bytes wire = encode_ordered(m);
+  Bytes wire = encode_ordered(m);
   // One broadcast per ordered message, recorded at the stamper — the
   // event-level view of the Figure 5 bandwidth measurement.
   auto& obs = proc_->sim().obs();
@@ -564,15 +583,25 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
       }
     }
   }
+  std::vector<int> targets;
+  targets.reserve(peer_fds_.size());
   if (scoped) {
     for (std::uint64_t d : interested) {
       auto fd = peer_fds_.find(d);
-      if (fd != peer_fds_.end()) mesh_send(fd->second, wire);
+      if (fd != peer_fds_.end()) targets.push_back(fd->second);
     }
   } else {
     for (auto& [peer, fd] : peer_fds_) {
       (void)peer;
-      mesh_send(fd, wire);
+      targets.push_back(fd);
+    }
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    // The last destination takes the encoded buffer itself.
+    if (i + 1 < targets.size()) {
+      mesh_send(targets[i], wire);
+    } else {
+      mesh_send(targets[i], std::move(wire));
     }
   }
   handle_ordered(m);
@@ -610,11 +639,18 @@ void GcDaemon::handle_ordered(const OrderedMsg& m) {
   GroupState& group = groups_[m.group];
   switch (m.kind) {
     case PayloadKind::kData: {
+      std::vector<int> local;
+      local.reserve(group.members.size());
       for (const auto& member : group.members) {
         auto fd = client_fds_.find(member);
         if (fd == client_fds_.end()) continue;  // member is remote
-        spawn_write(fd->second,
-                    encode_deliver(DeliverMsg{m.group, m.member, m.seq, m.payload}));
+        local.push_back(fd->second);
+      }
+      if (local.empty()) break;
+      // One encode per message; the last local member takes the buffer.
+      Bytes wire = encode_deliver(m);
+      for (std::size_t i = 0; i < local.size(); ++i) {
+        spawn_write(local[i], i + 1 < local.size() ? wire : std::move(wire));
       }
       break;
     }

@@ -224,7 +224,9 @@ class GcDaemon {
   void send_view(const std::string& group);
   void spawn_write(int fd, Bytes data);
   /// Mesh write that may be coalesced into the fd's pending FrameBatch.
+  /// The rvalue form hands an unbatched frame to the write without a copy.
   void mesh_send(int fd, const Bytes& frame);
+  void mesh_send(int fd, Bytes&& frame);
   /// Unbatched write; flushes the fd's pending batch first so control
   /// frames never overtake batched ordered traffic (FIFO per link).
   void direct_send(int fd, Bytes data);

@@ -10,17 +10,25 @@ using giop::ByteOrder;
 using giop::CdrReader;
 using giop::CdrWriter;
 
-Bytes frame(Op op, const Bytes& body) {
-  Bytes out;
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 1;
-  out.reserve(4 + len);
-  out.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(op));
-  append_bytes(out, body);
+CdrWriter frame_writer() { return CdrWriter::with_prefix(Frame::kHeaderSize); }
+
+/// Fills in the reserved header: u32 LE length (opcode + body) and opcode.
+Bytes finish(CdrWriter& w, Op op) {
+  Bytes out = w.take();
+  const auto len = static_cast<std::uint32_t>(out.size() - 4);
+  out[0] = static_cast<std::uint8_t>(len & 0xFF);
+  out[1] = static_cast<std::uint8_t>((len >> 8) & 0xFF);
+  out[2] = static_cast<std::uint8_t>((len >> 16) & 0xFF);
+  out[3] = static_cast<std::uint8_t>((len >> 24) & 0xFF);
+  out[4] = static_cast<std::uint8_t>(op);
   return out;
+}
+
+std::uint32_t read_len(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 bool valid_op(std::uint8_t v) {
@@ -49,58 +57,76 @@ bool valid_op(std::uint8_t v) {
 }  // namespace
 
 Bytes encode_hello(const HelloMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_string(m.name);
-  return frame(Op::kHello, w.buffer());
+  return finish(w, Op::kHello);
 }
 
 Bytes encode_join(const GroupMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_string(m.group);
-  return frame(Op::kJoin, w.buffer());
+  return finish(w, Op::kJoin);
 }
 
 Bytes encode_leave(const GroupMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_string(m.group);
-  return frame(Op::kLeave, w.buffer());
+  return finish(w, Op::kLeave);
 }
 
 Bytes encode_mcast(const McastMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
+  w.reserve(Frame::kHeaderSize + 24 + m.group.size() + m.payload.size());
   w.write_string(m.group);
   w.write_octet_seq(m.payload);
-  return frame(Op::kMcast, w.buffer());
-}
-
-Bytes encode_deliver(const DeliverMsg& m) {
-  CdrWriter w;
-  w.write_string(m.group);
-  w.write_string(m.sender);
-  w.write_u64(m.seq);
-  w.write_octet_seq(m.payload);
-  return frame(Op::kDeliver, w.buffer());
-}
-
-Bytes encode_view(const ViewMsg& m) {
-  CdrWriter w;
-  w.write_string(m.group);
-  w.write_u64(m.view_id);
-  w.write_u32(static_cast<std::uint32_t>(m.members.size()));
-  for (const auto& member : m.members) w.write_string(member);
-  return frame(Op::kView, w.buffer());
-}
-
-Bytes encode_peer_hello(const PeerHelloMsg& m) {
-  CdrWriter w;
-  w.write_u64(m.daemon_id);
-  return frame(Op::kPeerHello, w.buffer());
+  return finish(w, Op::kMcast);
 }
 
 namespace {
 
-Bytes encode_ordered_body(const OrderedMsg& m) {
-  CdrWriter w;
+Bytes deliver_frame(const std::string& group, const std::string& sender,
+                    std::uint64_t seq, const Bytes& payload) {
+  CdrWriter w = frame_writer();
+  w.reserve(Frame::kHeaderSize + 64 + group.size() + sender.size() +
+            payload.size());
+  w.write_string(group);
+  w.write_string(sender);
+  w.write_u64(seq);
+  w.write_octet_seq(payload);
+  return finish(w, Op::kDeliver);
+}
+
+}  // namespace
+
+Bytes encode_deliver(const DeliverMsg& m) {
+  return deliver_frame(m.group, m.sender, m.seq, m.payload);
+}
+
+Bytes encode_deliver(const OrderedMsg& m) {
+  return deliver_frame(m.group, m.member, m.seq, m.payload);
+}
+
+Bytes encode_view(const ViewMsg& m) {
+  CdrWriter w = frame_writer();
+  w.write_string(m.group);
+  w.write_u64(m.view_id);
+  w.write_u32(static_cast<std::uint32_t>(m.members.size()));
+  for (const auto& member : m.members) w.write_string(member);
+  return finish(w, Op::kView);
+}
+
+Bytes encode_peer_hello(const PeerHelloMsg& m) {
+  CdrWriter w = frame_writer();
+  w.write_u64(m.daemon_id);
+  return finish(w, Op::kPeerHello);
+}
+
+namespace {
+
+Bytes encode_ordered_like(const OrderedMsg& m, Op op) {
+  CdrWriter w = frame_writer();
+  w.reserve(Frame::kHeaderSize + 64 + m.group.size() + m.member.size() +
+            m.payload.size());
   w.write_u64(m.seq);
   w.write_u64(m.origin);
   w.write_u64(m.msg_id);
@@ -108,31 +134,35 @@ Bytes encode_ordered_body(const OrderedMsg& m) {
   w.write_string(m.group);
   w.write_string(m.member);
   w.write_octet_seq(m.payload);
-  return w.take();
+  return finish(w, op);
 }
 
 }  // namespace
 
-Bytes encode_submit(const OrderedMsg& m) { return frame(Op::kSubmit, encode_ordered_body(m)); }
-Bytes encode_ordered(const OrderedMsg& m) { return frame(Op::kOrdered, encode_ordered_body(m)); }
+Bytes encode_submit(const OrderedMsg& m) {
+  return encode_ordered_like(m, Op::kSubmit);
+}
+Bytes encode_ordered(const OrderedMsg& m) {
+  return encode_ordered_like(m, Op::kOrdered);
+}
 
 Bytes encode_heartbeat(const HeartbeatMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u64(m.daemon_id);
-  return frame(Op::kHeartbeat, w.buffer());
+  return finish(w, Op::kHeartbeat);
 }
 
 Bytes encode_rejoin(const RejoinMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u64(m.daemon_id);
   w.write_u64(m.next_seq);
   w.write_u64(m.alive_count);
   w.write_u64(m.sequencer_id);
-  return frame(Op::kRejoin, w.buffer());
+  return finish(w, Op::kRejoin);
 }
 
 Bytes encode_state_sync(const StateSyncMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u64(m.next_seq);
   w.write_u32(static_cast<std::uint32_t>(m.groups.size()));
   for (const auto& g : m.groups) {
@@ -145,32 +175,34 @@ Bytes encode_state_sync(const StateSyncMsg& m) {
   }
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (std::uint64_t d : m.alive) w.write_u64(d);
-  return frame(Op::kStateSync, w.buffer());
+  return finish(w, Op::kStateSync);
 }
 
 Bytes encode_bridge(const BridgeMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u64(m.daemon_id);
   w.write_u8(m.on ? 1 : 0);
-  return frame(Op::kBridge, w.buffer());
+  return finish(w, Op::kBridge);
 }
 
 Bytes encode_alive_set(const AliveSetMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (std::uint64_t d : m.alive) w.write_u64(d);
-  return frame(Op::kAliveSet, w.buffer());
+  return finish(w, Op::kAliveSet);
 }
 
 Bytes encode_seq_watermark(const SeqWatermarkMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer();
   w.write_u64(m.daemon_id);
   w.write_u64(m.next_seq);
-  return frame(Op::kSeqWatermark, w.buffer());
+  return finish(w, Op::kSeqWatermark);
 }
 
 Bytes wrap_frame_batch(const Bytes& payload) {
-  return frame(Op::kFrameBatch, payload);
+  CdrWriter w = frame_writer();
+  w.write_raw(payload);
+  return finish(w, Op::kFrameBatch);
 }
 
 Bytes encode_frame_batch(const std::vector<Bytes>& frames) {
@@ -184,9 +216,9 @@ Bytes encode_frame_batch(const std::vector<Bytes>& frames) {
 namespace {
 
 template <typename F>
-auto decode_with(const Bytes& payload, F&& fn)
+auto decode_with(const Frame& frame, F&& fn)
     -> WireResult<std::decay_t<decltype(*fn(std::declval<CdrReader&>()))>> {
-  CdrReader r(payload, ByteOrder::kLittleEndian);
+  CdrReader r(frame.body(), ByteOrder::kLittleEndian);
   auto out = fn(r);
   if (!out) return make_unexpected(WireErr::kMalformed);
   return std::move(*out);
@@ -194,24 +226,24 @@ auto decode_with(const Bytes& payload, F&& fn)
 
 }  // namespace
 
-WireResult<HelloMsg> decode_hello(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<HelloMsg> {
+WireResult<HelloMsg> decode_hello(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<HelloMsg> {
     auto name = r.read_string();
     if (!name) return std::nullopt;
     return HelloMsg{std::move(name.value())};
   });
 }
 
-WireResult<GroupMsg> decode_group(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<GroupMsg> {
+WireResult<GroupMsg> decode_group(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<GroupMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
     return GroupMsg{std::move(g.value())};
   });
 }
 
-WireResult<McastMsg> decode_mcast(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<McastMsg> {
+WireResult<McastMsg> decode_mcast(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<McastMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
     auto p = r.read_octet_seq();
@@ -220,8 +252,8 @@ WireResult<McastMsg> decode_mcast(const Bytes& payload) {
   });
 }
 
-WireResult<DeliverMsg> decode_deliver(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<DeliverMsg> {
+WireResult<DeliverMsg> decode_deliver(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<DeliverMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
     auto s = r.read_string();
@@ -235,8 +267,8 @@ WireResult<DeliverMsg> decode_deliver(const Bytes& payload) {
   });
 }
 
-WireResult<ViewMsg> decode_view(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<ViewMsg> {
+WireResult<ViewMsg> decode_view(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<ViewMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
     auto id = r.read_u64();
@@ -254,16 +286,16 @@ WireResult<ViewMsg> decode_view(const Bytes& payload) {
   });
 }
 
-WireResult<PeerHelloMsg> decode_peer_hello(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<PeerHelloMsg> {
+WireResult<PeerHelloMsg> decode_peer_hello(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<PeerHelloMsg> {
     auto id = r.read_u64();
     if (!id) return std::nullopt;
     return PeerHelloMsg{id.value()};
   });
 }
 
-WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<OrderedMsg> {
+WireResult<OrderedMsg> decode_ordered_like(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<OrderedMsg> {
     OrderedMsg m;
     auto seq = r.read_u64();
     if (!seq) return std::nullopt;
@@ -290,16 +322,16 @@ WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload) {
   });
 }
 
-WireResult<HeartbeatMsg> decode_heartbeat(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<HeartbeatMsg> {
+WireResult<HeartbeatMsg> decode_heartbeat(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<HeartbeatMsg> {
     auto id = r.read_u64();
     if (!id) return std::nullopt;
     return HeartbeatMsg{id.value()};
   });
 }
 
-WireResult<RejoinMsg> decode_rejoin(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<RejoinMsg> {
+WireResult<RejoinMsg> decode_rejoin(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<RejoinMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
     auto n = r.read_u64();
@@ -312,8 +344,8 @@ WireResult<RejoinMsg> decode_rejoin(const Bytes& payload) {
   });
 }
 
-WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<StateSyncMsg> {
+WireResult<StateSyncMsg> decode_state_sync(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<StateSyncMsg> {
     StateSyncMsg m;
     auto next = r.read_u64();
     if (!next) return std::nullopt;
@@ -359,8 +391,8 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
   });
 }
 
-WireResult<BridgeMsg> decode_bridge(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<BridgeMsg> {
+WireResult<BridgeMsg> decode_bridge(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<BridgeMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
     auto on = r.read_u8();
@@ -369,8 +401,8 @@ WireResult<BridgeMsg> decode_bridge(const Bytes& payload) {
   });
 }
 
-WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<AliveSetMsg> {
+WireResult<AliveSetMsg> decode_alive_set(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<AliveSetMsg> {
     auto n = r.read_u32();
     if (!n) return std::nullopt;
     AliveSetMsg m;
@@ -384,8 +416,8 @@ WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload) {
   });
 }
 
-WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<SeqWatermarkMsg> {
+WireResult<SeqWatermarkMsg> decode_seq_watermark(const Frame& frame) {
+  return decode_with(frame, [](CdrReader& r) -> std::optional<SeqWatermarkMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
     auto n = r.read_u64();
@@ -394,15 +426,13 @@ WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload) {
   });
 }
 
-WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
+WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch) {
+  const std::span<const std::uint8_t> payload = batch.body();
   std::vector<Frame> out;
   std::size_t pos = 0;
   while (pos < payload.size()) {
     if (payload.size() - pos < 4) return make_unexpected(WireErr::kTruncated);
-    std::uint32_t len = static_cast<std::uint32_t>(payload[pos]) |
-                        (static_cast<std::uint32_t>(payload[pos + 1]) << 8) |
-                        (static_cast<std::uint32_t>(payload[pos + 2]) << 16) |
-                        (static_cast<std::uint32_t>(payload[pos + 3]) << 24);
+    const std::uint32_t len = read_len(payload.data() + pos);
     if (len == 0) return make_unexpected(WireErr::kMalformed);
     if (payload.size() - pos < 4 + static_cast<std::size_t>(len)) {
       return make_unexpected(WireErr::kTruncated);
@@ -412,11 +442,8 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
     if (static_cast<Op>(op) == Op::kFrameBatch) {  // batches never nest
       return make_unexpected(WireErr::kMalformed);
     }
-    Frame f;
-    f.op = static_cast<Op>(op);
-    f.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos + 5),
-                     payload.begin() + static_cast<std::ptrdiff_t>(pos + 4 + len));
-    out.push_back(std::move(f));
+    const auto first = payload.begin() + static_cast<std::ptrdiff_t>(pos);
+    out.emplace_back(Bytes(first, first + 4 + len));
     pos += 4 + len;
   }
   if (out.empty()) return make_unexpected(WireErr::kMalformed);
@@ -425,28 +452,43 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
 
 // ---- framing ----
 
-void LenFramer::feed(const Bytes& chunk) { append_bytes(buf_, chunk); }
+void LenFramer::feed(Bytes chunk) {
+  if (head_ == buf_.size()) {  // nothing buffered: adopt the chunk
+    buf_ = std::move(chunk);
+    head_ = 0;
+    return;
+  }
+  if (head_ > 0) {  // drop consumed frames; only a partial frame moves
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  append_bytes(buf_, chunk);
+}
 
 std::optional<Frame> LenFramer::next() {
   if (corrupt_) return std::nullopt;
-  if (buf_.size() < 4) return std::nullopt;
-  std::uint32_t len = static_cast<std::uint32_t>(buf_[0]) |
-                      (static_cast<std::uint32_t>(buf_[1]) << 8) |
-                      (static_cast<std::uint32_t>(buf_[2]) << 16) |
-                      (static_cast<std::uint32_t>(buf_[3]) << 24);
+  const std::size_t avail = buf_.size() - head_;
+  if (avail < 4) return std::nullopt;
+  const std::uint32_t len = read_len(buf_.data() + head_);
   if (len == 0 || len > 16 * 1024 * 1024) {  // sanity cap
     corrupt_ = true;
     return std::nullopt;
   }
-  if (buf_.size() < 4 + len) return std::nullopt;
-  if (!valid_op(buf_[4])) {
+  if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;
+  if (!valid_op(buf_[head_ + 4])) {
     corrupt_ = true;
     return std::nullopt;
   }
-  Frame f;
-  f.op = static_cast<Op>(buf_[4]);
-  f.payload.assign(buf_.begin() + 5, buf_.begin() + 4 + len);
-  buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
+  const std::size_t end = head_ + 4 + len;
+  if (end == buf_.size()) {  // the last buffered frame takes the buffer
+    Frame f(std::move(buf_), head_);
+    buf_.clear();
+    head_ = 0;
+    return f;
+  }
+  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+  Frame f(Bytes(first, first + 4 + len));
+  head_ = end;
   return f;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -191,12 +192,19 @@ struct SeqWatermarkMsg {
 };
 
 // ---- encoding ----
+//
+// Every encoder writes its CDR body straight after a reserved 5-byte header
+// (CdrWriter::with_prefix) and patches the header in place: one pass over
+// the bytes, no re-wrapping copy.
 
 Bytes encode_hello(const HelloMsg& m);
 Bytes encode_join(const GroupMsg& m);
 Bytes encode_leave(const GroupMsg& m);
 Bytes encode_mcast(const McastMsg& m);
 Bytes encode_deliver(const DeliverMsg& m);
+/// The delivery of a stamped kData message, encoded straight from it (the
+/// daemon's per-member hop; same bytes as the DeliverMsg overload).
+Bytes encode_deliver(const OrderedMsg& m);
 Bytes encode_view(const ViewMsg& m);
 Bytes encode_peer_hello(const PeerHelloMsg& m);
 Bytes encode_submit(const OrderedMsg& m);   // opcode kSubmit
@@ -210,27 +218,50 @@ Bytes encode_seq_watermark(const SeqWatermarkMsg& m);
 
 enum class WireErr { kTruncated, kMalformed, kUnknownOp };
 
-struct Frame {
-  Op op = Op::kHello;
-  Bytes payload;  // CDR body (no length/opcode)
+/// One complete frame off the wire. It owns its bytes but exposes only the
+/// opcode and the CDR body, so no decoder ever handles the length prefix or
+/// the opcode byte (the body's CDR alignment is relative to its first byte).
+class Frame {
+ public:
+  /// Bytes before the body: u32 length + opcode.
+  static constexpr std::size_t kHeaderSize = 5;
+
+  /// Adopts `wire`, which holds exactly one frame starting at `begin` and
+  /// running to the end; bytes before `begin` were consumed by earlier
+  /// frames and are never read. Requires at least kHeaderSize bytes from
+  /// `begin` (the framer checks this before constructing).
+  explicit Frame(Bytes wire, std::size_t begin = 0)
+      : op_(static_cast<Op>(wire.at(begin + 4))),
+        bytes_(std::move(wire)),
+        body_(begin + kHeaderSize) {}
+
+  [[nodiscard]] Op op() const { return op_; }
+  [[nodiscard]] std::span<const std::uint8_t> body() const {
+    return std::span<const std::uint8_t>(bytes_).subspan(body_);
+  }
+
+ private:
+  Op op_;
+  Bytes bytes_;
+  std::size_t body_;
 };
 
 template <typename T>
 using WireResult = Expected<T, WireErr>;
 
-WireResult<HelloMsg> decode_hello(const Bytes& payload);
-WireResult<GroupMsg> decode_group(const Bytes& payload);
-WireResult<McastMsg> decode_mcast(const Bytes& payload);
-WireResult<DeliverMsg> decode_deliver(const Bytes& payload);
-WireResult<ViewMsg> decode_view(const Bytes& payload);
-WireResult<PeerHelloMsg> decode_peer_hello(const Bytes& payload);
-WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload);
-WireResult<HeartbeatMsg> decode_heartbeat(const Bytes& payload);
-WireResult<RejoinMsg> decode_rejoin(const Bytes& payload);
-WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload);
-WireResult<BridgeMsg> decode_bridge(const Bytes& payload);
-WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload);
-WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload);
+WireResult<HelloMsg> decode_hello(const Frame& frame);
+WireResult<GroupMsg> decode_group(const Frame& frame);
+WireResult<McastMsg> decode_mcast(const Frame& frame);
+WireResult<DeliverMsg> decode_deliver(const Frame& frame);
+WireResult<ViewMsg> decode_view(const Frame& frame);
+WireResult<PeerHelloMsg> decode_peer_hello(const Frame& frame);
+WireResult<OrderedMsg> decode_ordered_like(const Frame& frame);
+WireResult<HeartbeatMsg> decode_heartbeat(const Frame& frame);
+WireResult<RejoinMsg> decode_rejoin(const Frame& frame);
+WireResult<StateSyncMsg> decode_state_sync(const Frame& frame);
+WireResult<BridgeMsg> decode_bridge(const Frame& frame);
+WireResult<AliveSetMsg> decode_alive_set(const Frame& frame);
+WireResult<SeqWatermarkMsg> decode_seq_watermark(const Frame& frame);
 
 // ---- frame batching ----
 //
@@ -245,23 +276,27 @@ WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload);
 Bytes wrap_frame_batch(const Bytes& payload);
 /// Convenience for tests: encodes `frames` individually and wraps them.
 Bytes encode_frame_batch(const std::vector<Bytes>& frames);
-/// Splits a kFrameBatch payload back into frames. Rejects empty batches,
-/// truncated sub-frames (kTruncated), unknown sub-frame opcodes
+/// Splits a kFrameBatch frame's body back into frames. Rejects empty
+/// batches, truncated sub-frames (kTruncated), unknown sub-frame opcodes
 /// (kUnknownOp), and nested batches (kMalformed).
-WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload);
+WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch);
 
-/// Reassembles length-prefixed frames from a byte stream.
+/// Reassembles length-prefixed frames from a byte stream. Consumed frames
+/// advance an offset instead of erasing the buffer front; a fed chunk is
+/// adopted without copying when nothing is buffered, and a buffer holding
+/// exactly one remaining frame is handed over whole to that frame.
 class LenFramer {
  public:
-  void feed(const Bytes& chunk);
+  void feed(Bytes chunk);
   /// Next complete frame; nullopt if more bytes needed. Malformed input sets
   /// corrupt() permanently.
   std::optional<Frame> next();
   [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   Bytes buf_;
+  std::size_t head_ = 0;  // consumed prefix of buf_
   bool corrupt_ = false;
 };
 

@@ -1,153 +1,23 @@
 #include "giop/cdr.h"
 
-#include <bit>
-#include <cstring>
-
 namespace mead::giop {
-
-namespace {
-
-template <typename T>
-T byteswap_int(T v) {
-  T out{};
-  auto* src = reinterpret_cast<const std::uint8_t*>(&v);
-  auto* dst = reinterpret_cast<std::uint8_t*>(&out);
-  for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
-  return out;
-}
-
-}  // namespace
-
-ByteOrder native_byte_order() {
-  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
-                                                    : ByteOrder::kBigEndian;
-}
 
 // ------------------------------------------------------------- CdrWriter
 
-void CdrWriter::align(std::size_t n) {
-  const std::size_t misalign = buf_.size() % n;
-  if (misalign != 0) buf_.resize(buf_.size() + (n - misalign), 0);
-}
-
-void CdrWriter::put_bytes(const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), bytes, bytes + n);
-}
-
-void CdrWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void CdrWriter::write_u16(std::uint16_t v) {
-  align(2);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 2);
-}
-
-void CdrWriter::write_u32(std::uint32_t v) {
-  align(4);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 4);
-}
-
-void CdrWriter::write_u64(std::uint64_t v) {
-  align(8);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 8);
-}
-
-void CdrWriter::write_double(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  write_u64(bits);
-}
-
 void CdrWriter::write_string(std::string_view s) {
   write_u32(static_cast<std::uint32_t>(s.size() + 1));
-  put_bytes(s.data(), s.size());
+  buf_.insert(buf_.end(), s.begin(), s.end());
   buf_.push_back(0);
 }
 
 void CdrWriter::write_octet_seq(const Bytes& bytes) {
   write_u32(static_cast<std::uint32_t>(bytes.size()));
-  put_bytes(bytes.data(), bytes.size());
+  append_bytes(buf_, bytes);
 }
 
-void CdrWriter::write_raw(const Bytes& bytes) {
-  put_bytes(bytes.data(), bytes.size());
-}
+void CdrWriter::write_raw(const Bytes& bytes) { append_bytes(buf_, bytes); }
 
 // ------------------------------------------------------------- CdrReader
-
-CdrResult<void> CdrReader::align(std::size_t n) {
-  const std::size_t rel = (pos_ - base_) % n;
-  if (rel != 0) {
-    const std::size_t pad = n - rel;
-    if (!has(pad)) return make_unexpected(CdrErr::kOutOfBounds);
-    pos_ += pad;
-  }
-  return {};
-}
-
-CdrResult<std::uint8_t> CdrReader::read_u8() {
-  if (!has(1)) return make_unexpected(CdrErr::kOutOfBounds);
-  return (*buf_)[pos_++];
-}
-
-CdrResult<bool> CdrReader::read_bool() {
-  auto v = read_u8();
-  if (!v) return make_unexpected(v.error());
-  return v.value() != 0;
-}
-
-CdrResult<std::uint16_t> CdrReader::read_u16() {
-  if (auto a = align(2); !a) return make_unexpected(a.error());
-  if (!has(2)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint16_t v;
-  std::memcpy(&v, buf_->data() + pos_, 2);
-  pos_ += 2;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
-}
-
-CdrResult<std::uint32_t> CdrReader::read_u32() {
-  if (auto a = align(4); !a) return make_unexpected(a.error());
-  if (!has(4)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint32_t v;
-  std::memcpy(&v, buf_->data() + pos_, 4);
-  pos_ += 4;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
-}
-
-CdrResult<std::uint64_t> CdrReader::read_u64() {
-  if (auto a = align(8); !a) return make_unexpected(a.error());
-  if (!has(8)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint64_t v;
-  std::memcpy(&v, buf_->data() + pos_, 8);
-  pos_ += 8;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
-}
-
-CdrResult<std::int32_t> CdrReader::read_i32() {
-  auto v = read_u32();
-  if (!v) return make_unexpected(v.error());
-  return static_cast<std::int32_t>(v.value());
-}
-
-CdrResult<std::int64_t> CdrReader::read_i64() {
-  auto v = read_u64();
-  if (!v) return make_unexpected(v.error());
-  return static_cast<std::int64_t>(v.value());
-}
-
-CdrResult<double> CdrReader::read_double() {
-  auto bits = read_u64();
-  if (!bits) return make_unexpected(bits.error());
-  double v;
-  std::memcpy(&v, &bits.value(), 8);
-  return v;
-}
 
 CdrResult<std::string> CdrReader::read_string() {
   auto len = read_u32();
@@ -155,8 +25,8 @@ CdrResult<std::string> CdrReader::read_string() {
   if (len.value() == 0) return make_unexpected(CdrErr::kBadString);
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
   const std::size_t n = len.value() - 1;  // exclude NUL
-  if ((*buf_)[pos_ + n] != 0) return make_unexpected(CdrErr::kBadString);
-  std::string s(reinterpret_cast<const char*>(buf_->data() + pos_), n);
+  if (data_[pos_ + n] != 0) return make_unexpected(CdrErr::kBadString);
+  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += len.value();
   return s;
 }
@@ -165,16 +35,14 @@ CdrResult<Bytes> CdrReader::read_octet_seq() {
   auto len = read_u32();
   if (!len) return make_unexpected(len.error());
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
-  Bytes out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
+  Bytes out(data_ + pos_, data_ + pos_ + len.value());
   pos_ += len.value();
   return out;
 }
 
 CdrResult<Bytes> CdrReader::read_raw(std::size_t n) {
   if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
-  Bytes out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  Bytes out(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return out;
 }

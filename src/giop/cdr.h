@@ -5,8 +5,11 @@
 // declares its endianness; readers must honour it).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,6 +32,25 @@ enum class ByteOrder : std::uint8_t {
   kLittleEndian = 1,  // CDR flag 1
 };
 
+/// True if this machine is little-endian (used to pick the cheap path).
+[[nodiscard]] constexpr ByteOrder native_byte_order() {
+  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
+                                                    : ByteOrder::kBigEndian;
+}
+
+namespace detail {
+
+template <typename T>
+[[nodiscard]] inline T byteswap_int(T v) {
+  T out{};
+  auto* src = reinterpret_cast<const std::uint8_t*>(&v);
+  auto* dst = reinterpret_cast<std::uint8_t*>(&out);
+  for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
+  return out;
+}
+
+}  // namespace detail
+
 /// Serializer. Offsets are relative to the start of the CDR stream (for GIOP,
 /// the message body begins at offset 0 — the 12-byte header is external and
 /// deliberately laid out so body alignment is preserved).
@@ -37,19 +59,40 @@ class CdrWriter {
   explicit CdrWriter(ByteOrder order = ByteOrder::kLittleEndian)
       : order_(order) {}
 
+  /// A writer whose buffer starts with `prefix` zero bytes reserved for a
+  /// framing header. Alignment stays relative to the first byte after the
+  /// prefix, so the stream is byte-identical to one written alone; the
+  /// caller fills the prefix in after take(). This is what lets a framed
+  /// message be encoded once instead of encoded and then re-wrapped.
+  [[nodiscard]] static CdrWriter with_prefix(
+      std::size_t prefix, ByteOrder order = ByteOrder::kLittleEndian) {
+    CdrWriter w(order);
+    w.buf_.resize(prefix, 0);
+    w.base_ = prefix;
+    return w;
+  }
+
   [[nodiscard]] ByteOrder order() const { return order_; }
+  /// The whole buffer, prefix included.
   [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
+  /// Bytes written, prefix included.
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Capacity hint for large messages (avoids regrowth copies).
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
-  void write_u8(std::uint8_t v);
+  void write_u8(std::uint8_t v) { buf_.push_back(v); }
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
-  void write_u16(std::uint16_t v);
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
+  void write_u16(std::uint16_t v) { put_int(v); }
+  void write_u32(std::uint32_t v) { put_int(v); }
+  void write_u64(std::uint64_t v) { put_int(v); }
   void write_i32(std::int32_t v) { write_u32(static_cast<std::uint32_t>(v)); }
   void write_i64(std::int64_t v) { write_u64(static_cast<std::uint64_t>(v)); }
-  void write_double(double v);
+  void write_double(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    write_u64(bits);
+  }
 
   /// CDR string: u32 length including NUL, characters, NUL.
   void write_string(std::string_view s);
@@ -59,52 +102,105 @@ class CdrWriter {
   void write_raw(const Bytes& bytes);
 
  private:
-  void align(std::size_t n);
-  void put_bytes(const void* p, std::size_t n);
+  void align(std::size_t n) {
+    const std::size_t misalign = (buf_.size() - base_) % n;
+    if (misalign != 0) buf_.resize(buf_.size() + (n - misalign), 0);
+  }
+
+  template <typename T>
+  void put_int(T v) {
+    align(sizeof(T));
+    if (order_ != native_byte_order()) v = detail::byteswap_int(v);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
+  }
 
   ByteOrder order_;
   Bytes buf_;
+  std::size_t base_ = 0;  // alignment origin: the end of the prefix
 };
 
 /// Deserializer over a byte range. All reads are bounds-checked: a truncated
 /// or corrupt stream yields CdrErr, never UB — the LOCATION_FORWARD
 /// interceptor parses GIOP off the wire, so robustness here is load-bearing.
+/// The reader views the range; its owner must outlive the reader.
 class CdrReader {
  public:
-  CdrReader(const Bytes& buf, ByteOrder order,
+  CdrReader(std::span<const std::uint8_t> buf, ByteOrder order,
             std::size_t start_offset = 0)
-      : buf_(&buf), order_(order), pos_(start_offset),
-        base_(start_offset) {}
+      : data_(buf.data()), size_(buf.size()), order_(order),
+        pos_(start_offset), base_(start_offset) {}
 
   [[nodiscard]] ByteOrder order() const { return order_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const {
-    return buf_->size() > pos_ ? buf_->size() - pos_ : 0;
+    return size_ > pos_ ? size_ - pos_ : 0;
   }
 
-  CdrResult<std::uint8_t> read_u8();
-  CdrResult<bool> read_bool();
-  CdrResult<std::uint16_t> read_u16();
-  CdrResult<std::uint32_t> read_u32();
-  CdrResult<std::uint64_t> read_u64();
-  CdrResult<std::int32_t> read_i32();
-  CdrResult<std::int64_t> read_i64();
-  CdrResult<double> read_double();
+  CdrResult<std::uint8_t> read_u8() {
+    if (!has(1)) return make_unexpected(CdrErr::kOutOfBounds);
+    return data_[pos_++];
+  }
+  CdrResult<bool> read_bool() {
+    auto v = read_u8();
+    if (!v) return make_unexpected(v.error());
+    return v.value() != 0;
+  }
+  CdrResult<std::uint16_t> read_u16() { return get_int<std::uint16_t>(); }
+  CdrResult<std::uint32_t> read_u32() { return get_int<std::uint32_t>(); }
+  CdrResult<std::uint64_t> read_u64() { return get_int<std::uint64_t>(); }
+  CdrResult<std::int32_t> read_i32() {
+    auto v = read_u32();
+    if (!v) return make_unexpected(v.error());
+    return static_cast<std::int32_t>(v.value());
+  }
+  CdrResult<std::int64_t> read_i64() {
+    auto v = read_u64();
+    if (!v) return make_unexpected(v.error());
+    return static_cast<std::int64_t>(v.value());
+  }
+  CdrResult<double> read_double() {
+    auto bits = read_u64();
+    if (!bits) return make_unexpected(bits.error());
+    double v;
+    std::memcpy(&v, &bits.value(), 8);
+    return v;
+  }
   CdrResult<std::string> read_string();
   CdrResult<Bytes> read_octet_seq();
   CdrResult<Bytes> read_raw(std::size_t n);
+  /// Advances past `n` bytes without copying them.
+  CdrResult<void> skip(std::size_t n) {
+    if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
+    pos_ += n;
+    return {};
+  }
 
  private:
-  CdrResult<void> align(std::size_t n);
+  CdrResult<void> align(std::size_t n) {
+    const std::size_t rel = (pos_ - base_) % n;
+    if (rel != 0) return skip(n - rel);
+    return {};
+  }
   [[nodiscard]] bool has(std::size_t n) const { return remaining() >= n; }
 
-  const Bytes* buf_;
+  template <typename T>
+  CdrResult<T> get_int() {
+    if (auto a = align(sizeof(T)); !a) return make_unexpected(a.error());
+    if (!has(sizeof(T))) return make_unexpected(CdrErr::kOutOfBounds);
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    if (order_ != native_byte_order()) v = detail::byteswap_int(v);
+    return v;
+  }
+
+  const std::uint8_t* data_;
+  std::size_t size_;
   ByteOrder order_;
   std::size_t pos_;
   std::size_t base_;  // alignment is relative to the stream start
 };
-
-/// True if this machine is little-endian (used to pick the cheap path).
-[[nodiscard]] ByteOrder native_byte_order();
 
 }  // namespace mead::giop

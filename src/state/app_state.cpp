@@ -12,7 +12,10 @@ std::uint64_t AppState::apply_next() {
   const std::uint32_t key =
       static_cast<std::uint32_t>(seq % values_.size());
   values_[key] += mix64(seq);
-  dirty_[key] = true;
+  if (!dirty_[key]) {
+    dirty_[key] = true;
+    dirty_keys_.push_back(key);
+  }
   digest_ = mix64(digest_ ^ mix64(seq) ^ values_[key]);
   return seq;
 }
@@ -27,14 +30,16 @@ void AppState::set_progress(std::uint64_t applied, std::uint64_t digest) {
 }
 
 std::vector<std::uint32_t> AppState::take_dirty() {
-  std::vector<std::uint32_t> keys;
-  for (std::uint32_t k = 0; k < dirty_.size(); ++k) {
-    if (dirty_[k]) {
-      keys.push_back(k);
-      dirty_[k] = false;
-    }
-  }
-  return keys;  // index order == sorted
+  std::vector<std::uint32_t> keys = std::move(dirty_keys_);
+  dirty_keys_.clear();
+  for (std::uint32_t k : keys) dirty_[k] = false;
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+void AppState::clear_dirty() {
+  for (std::uint32_t k : dirty_keys_) dirty_[k] = false;
+  dirty_keys_.clear();
 }
 
 std::uint64_t AppState::expected_digest(std::uint64_t ops,

@@ -48,8 +48,12 @@ class AppState {
   void set_progress(std::uint64_t applied, std::uint64_t digest);
 
   /// Returns the sorted dirty-key set accumulated since the last call
-  /// and clears it (the checkpoint delta source).
+  /// and clears it (the checkpoint delta source). Costs O(dirty log dirty),
+  /// not O(keys).
   [[nodiscard]] std::vector<std::uint32_t> take_dirty();
+  /// Forgets the dirty set without sorting it (a full base covers every
+  /// key anyway). Costs O(dirty).
+  void clear_dirty();
 
   [[nodiscard]] std::uint64_t value(std::uint32_t key) const {
     return key < values_.size() ? values_[key] : 0;
@@ -62,7 +66,8 @@ class AppState {
 
  private:
   std::vector<std::uint64_t> values_;
-  std::vector<bool> dirty_;
+  std::vector<bool> dirty_;                  // per-key membership flag
+  std::vector<std::uint32_t> dirty_keys_;    // the dirtied keys, unsorted
   std::uint64_t applied_ = 0;
   std::uint64_t digest_ = 0;
 };

@@ -17,7 +17,7 @@ const Checkpoint& CheckpointStore::take(AppState& s) {
     for (std::uint32_t k = 0; k < s.keys(); ++k) {
       c.entries.emplace_back(k, s.value(k));
     }
-    (void)s.take_dirty();  // the base subsumes any pending dirty set
+    s.clear_dirty();  // the base subsumes any pending dirty set
     chain_.clear();
     deltas_since_base_ = 0;
   } else {
@@ -33,8 +33,7 @@ const Checkpoint& CheckpointStore::take(AppState& s) {
   return chain_.back();
 }
 
-CheckpointStore::Apply CheckpointStore::apply(const Checkpoint& c,
-                                              AppState& s) {
+CheckpointStore::Apply CheckpointStore::apply(Checkpoint&& c, AppState& s) {
   if (c.epoch <= last_epoch()) return Apply::kStale;
   if (c.is_base) {
     chain_.clear();
@@ -51,8 +50,8 @@ CheckpointStore::Apply CheckpointStore::apply(const Checkpoint& c,
   }
   for (const auto& [key, value] : c.entries) s.install(key, value);
   s.set_progress(c.applied, c.digest);
-  chain_.push_back(c);
   next_epoch_ = c.epoch + 1;
+  chain_.push_back(std::move(c));
   return Apply::kApplied;
 }
 

@@ -47,8 +47,14 @@ class CheckpointStore {
   const Checkpoint& take(AppState& s);
 
   /// Mirror side: fold a received checkpoint into the local chain and,
-  /// on success, into `s` (installing entries + progress watermark).
-  Apply apply(const Checkpoint& c, AppState& s);
+  /// on success, into `s` (installing entries + progress watermark). On
+  /// kApplied `c` moves into the chain; on any other result it is left
+  /// untouched, so a caller may keep it (pull mode buffers gapped epochs).
+  Apply apply(Checkpoint&& c, AppState& s);
+  /// Copying form, for callers that keep their checkpoint.
+  Apply apply(const Checkpoint& c, AppState& s) {
+    return apply(Checkpoint(c), s);
+  }
 
   /// The retained chain (base first), for answering kCkptRequest.
   [[nodiscard]] const std::deque<Checkpoint>& chain() const {

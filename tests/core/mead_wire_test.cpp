@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "../fnv64.h"
+
 namespace mead::core {
 namespace {
 
@@ -191,14 +198,14 @@ TEST(CtrlMsgTest, CkptDeltaRoundTrip) {
   CkptDelta c;
   c.member = "replica/2";
   c.nonce = 0;  // periodic push
-  c.epoch = 7;
-  c.base_epoch = 5;
-  c.is_base = false;
-  c.applied = 420;
-  c.prev_digest = 0xDEADBEEFull;
-  c.digest = 0xFEEDFACEull;
+  c.checkpoint.epoch = 7;
+  c.checkpoint.base_epoch = 5;
+  c.checkpoint.is_base = false;
+  c.checkpoint.applied = 420;
+  c.checkpoint.prev_digest = 0xDEADBEEFull;
+  c.checkpoint.digest = 0xFEEDFACEull;
   c.value_pad = 32;
-  c.entries = {{3, 111}, {9, 222}, {14, 333}};
+  c.checkpoint.entries = {{3, 111}, {9, 222}, {14, 333}};
   auto msg = decode_ctrl(encode_ckpt_delta(c));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->kind, CtrlKind::kCkptDelta);
@@ -211,16 +218,16 @@ TEST(CtrlMsgTest, CkptBaseWithNonceRoundTrip) {
   CkptDelta c;
   c.member = "replica/1";
   c.nonce = 0x1234ABCDull;
-  c.epoch = 5;
-  c.base_epoch = 5;
-  c.is_base = true;
-  c.applied = 400;
-  c.digest = 42;
-  c.entries = {{0, 1}, {1, 2}};
+  c.checkpoint.epoch = 5;
+  c.checkpoint.base_epoch = 5;
+  c.checkpoint.is_base = true;
+  c.checkpoint.applied = 400;
+  c.checkpoint.digest = 42;
+  c.checkpoint.entries = {{0, 1}, {1, 2}};
   auto msg = decode_ctrl(encode_ckpt_delta(c));
   ASSERT_TRUE(msg.has_value());
   ASSERT_TRUE(msg->ckpt_delta.has_value());
-  EXPECT_TRUE(msg->ckpt_delta->is_base);
+  EXPECT_TRUE(msg->ckpt_delta->checkpoint.is_base);
   EXPECT_EQ(msg->ckpt_delta->nonce, c.nonce);
   EXPECT_EQ(*msg->ckpt_delta, c);
 }
@@ -275,10 +282,10 @@ TEST(CtrlMsgTest, ReadSetNackRoundTrip) {
 TEST(CtrlMsgTest, RejectsTruncatedStateFrames) {
   CkptDelta c;
   c.member = "replica/2";
-  c.epoch = 1;
-  c.base_epoch = 1;
-  c.is_base = true;
-  c.entries = {{0, 5}, {1, 6}};
+  c.checkpoint.epoch = 1;
+  c.checkpoint.base_epoch = 1;
+  c.checkpoint.is_base = true;
+  c.checkpoint.entries = {{0, 5}, {1, 6}};
   LogReplay lr;
   lr.member = "replica/1";
   lr.entries = {1, 2, 3};
@@ -289,6 +296,165 @@ TEST(CtrlMsgTest, RejectsTruncatedStateFrames) {
       Bytes t(frame.begin(), frame.end() - static_cast<std::ptrdiff_t>(cut));
       EXPECT_FALSE(decode_ctrl(t).has_value()) << "cut=" << cut;
     }
+  }
+}
+
+// ---- byte stability ----
+//
+// FNV-64 digests of every encoder's output for fixed sample messages,
+// taken from the field-by-field encoders that preceded the prefix writer.
+// A digest change means a wire-format change, never a refactor.
+
+CkptDelta sample_ckpt(bool base, std::uint32_t pad) {
+  CkptDelta c;
+  c.member = "replica/node3/2";
+  c.nonce = base ? 0x1234ABCDull : 0;
+  c.checkpoint.epoch = base ? 9 : 12;
+  c.checkpoint.base_epoch = 9;
+  c.checkpoint.is_base = base;
+  c.checkpoint.applied = 4321;
+  c.checkpoint.prev_digest = base ? 0 : 0xDEADBEEFull;
+  c.checkpoint.digest = 0xFEEDFACECAFEull;
+  c.value_pad = pad;
+  for (std::uint32_t k = 0; k < 11; ++k) {
+    c.checkpoint.entries.emplace_back(k * 3 + 1, 0x0101010101ull * k);
+  }
+  return c;
+}
+
+std::vector<std::pair<std::string, Bytes>> encoder_samples() {
+  const Announce a1{"replica/1", net::Endpoint{"node1", 20001}, test_ior()};
+  const Announce a2{"replica/22", net::Endpoint{"node22", 20022},
+                    test_ior("node22")};
+  ReadSet rs;
+  rs.version = 5;
+  rs.primary = "replica/1";
+  rs.entries = {a1, a2};
+  ReadSet qs = rs;
+  qs.catching_up = {"replica/22"};
+  ReadSetDelta d;
+  d.base_version = 4;
+  d.version = 5;
+  d.primary = "replica/1";
+  d.removed = {"replica/3"};
+  d.added = {a2};
+  Listing listing;
+  listing.entries = {a1, a2};
+  LogReplay lr;
+  lr.member = "replica/1";
+  lr.nonce = 99;
+  lr.applied = 450;
+  lr.digest = 0xABCDull;
+  lr.entries = {441, 442, 443, 450};
+  AliveEpoch ae;
+  ae.epoch = 3;
+  ae.alive = {"node1", "node12", "node2"};
+  ReplyCache rc;
+  rc.member = "replica/1";
+  rc.nonce = 17;
+  rc.entries = {{0xAAull, 1}, {0xBBull, 2}, {0xAAull, 3}};
+  return {
+      {"failover", encode_failover_frame(
+                       FailoverMsg{net::Endpoint{"node2", 20002}, "r/2"})},
+      {"announce", encode_announce(a1)},
+      {"read_set", encode_read_set(rs)},
+      {"read_set_delta", encode_read_set_delta(d)},
+      {"listing", encode_listing(listing)},
+      {"launch_request", encode_launch_request(LaunchRequest{"replica/1", 0.8125})},
+      {"primary_query", encode_primary_query(PrimaryQuery{"reply/client/1", 7})},
+      {"primary_answer", encode_primary_answer(PrimaryAnswer{
+                             "replica/2", net::Endpoint{"node2", 20002}, 7})},
+      {"state", encode_state(StateTransfer{"replica/1", 3, Bytes{1, 2, 3, 4, 5}})},
+      {"node_crash", encode_node_crash(NodeCrash{"node7"})},
+      {"launch_failed", encode_launch_failed(LaunchFailed{"SvcB", 4})},
+      {"ckpt_delta", encode_ckpt_delta(sample_ckpt(false, 32))},
+      {"ckpt_base", encode_ckpt_delta(sample_ckpt(true, 0))},
+      {"ckpt_odd_pad", encode_ckpt_delta(sample_ckpt(false, 5))},
+      {"ckpt_request", encode_ckpt_request(CkptRequest{"replica/4", 0xFACEull, 6})},
+      {"log_replay", encode_log_replay(lr)},
+      {"read_set_nack", encode_read_set_nack(ReadSetNack{"SvcB", 17})},
+      {"alive_epoch", encode_alive_epoch(ae)},
+      {"node_join", encode_node_join(NodeJoin{"node51"})},
+      {"retire", encode_retire(Retire{"SvcB", "replica/9"})},
+      {"usage_report", encode_usage_report(UsageReport{"replica/1", 0.625, 1234})},
+      {"handoff", encode_handoff(Handoff{"SvcB", "replica/1", "replica/4"})},
+      {"quorum_set", encode_quorum_set(qs)},
+      {"catchup_done", encode_catchup_done(CatchupDone{"SvcB", "replica/4"})},
+      {"reply_cache", encode_reply_cache(rc)},
+  };
+}
+
+TEST(CtrlMsgTest, CkptDeltaTruncatedAtEveryByteIsRejected) {
+  const Bytes frame = encode_ckpt_delta(sample_ckpt(false, 32));
+  ASSERT_TRUE(decode_ctrl(frame).has_value());
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    const Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(decode_ctrl(cut).has_value()) << "len=" << len;
+  }
+}
+
+TEST(CtrlMsgTest, CkptDeltaHugeEntryCountIsRejectedWithoutReserving) {
+  // A corrupt entry count must fail on the bytes actually present, not
+  // try to reserve ~4G entries first.
+  CkptDelta c = sample_ckpt(true, 0);
+  c.checkpoint.entries.clear();
+  Bytes frame = encode_ckpt_delta(c);
+  ASSERT_GE(frame.size(), 4u);
+  for (std::size_t i = frame.size() - 4; i < frame.size(); ++i) frame[i] = 0xFF;
+  EXPECT_FALSE(decode_ctrl(frame).has_value());
+}
+
+TEST(CtrlMsgTest, PeekKind) {
+  EXPECT_FALSE(peek_ctrl_kind(Bytes{}).has_value());
+  EXPECT_EQ(peek_ctrl_kind(encode_ckpt_delta(sample_ckpt(true, 0))),
+            CtrlKind::kCkptDelta);
+  EXPECT_EQ(peek_ctrl_kind(encode_node_join(NodeJoin{"n"})), CtrlKind::kNodeJoin);
+}
+
+TEST(CtrlMsgTest, CkptFromStoredCheckpointMatchesCkptDelta) {
+  // The sender encodes straight from its stored checkpoint; the bytes are
+  // those of the equivalent CkptDelta message.
+  const CkptDelta c = sample_ckpt(false, 32);
+  EXPECT_EQ(encode_ckpt_delta(c.member, c.nonce, c.value_pad, c.checkpoint),
+            encode_ckpt_delta(c));
+}
+
+TEST(CtrlDigestTest, EncoderOutputIsByteStable) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"failover", 0x5c3235b8b52dc50full},
+      {"announce", 0xb97e06a227b5836aull},
+      {"read_set", 0x351d59d0b07b0f96ull},
+      {"read_set_delta", 0xb0785a6b9edbdfbbull},
+      {"listing", 0x2628c5e3e6f7b576ull},
+      {"launch_request", 0x43ef292ef5815c29ull},
+      {"primary_query", 0xa1a9eb60409b0dcfull},
+      {"primary_answer", 0x95a7a61d44d33264ull},
+      {"state", 0xc6c190e3f40b042eull},
+      {"node_crash", 0x936cb1a1735782d0ull},
+      {"launch_failed", 0x2ff8ca260acee3ffull},
+      {"ckpt_delta", 0x1cb86b8835105862ull},
+      {"ckpt_base", 0xa82047af58548192ull},
+      {"ckpt_odd_pad", 0x118c8d2c4410989dull},
+      {"ckpt_request", 0x879e604b9d121e34ull},
+      {"log_replay", 0x022ab549c2eb6d20ull},
+      {"read_set_nack", 0x69fc554e823b7f73ull},
+      {"alive_epoch", 0x62222e796e42bafbull},
+      {"node_join", 0x12ebb70a743d758cull},
+      {"retire", 0x85d20495f9cc90d5ull},
+      {"usage_report", 0x3f05deff7286719aull},
+      {"handoff", 0x952cbfbe551de97cull},
+      {"quorum_set", 0xca98f5c6d746c04cull},
+      {"catchup_done", 0x5384e6d637d39facull},
+      {"reply_cache", 0x21bc1b81bd4bb6e0ull},
+  };
+  for (const auto& [name, bytes] : encoder_samples()) {
+    const std::uint64_t digest = test_util::fnv64(bytes);
+    auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no digest for " << name << ": 0x" << std::hex << digest;
+      continue;
+    }
+    EXPECT_EQ(digest, it->second) << name << ": 0x" << std::hex << digest;
   }
 }
 

@@ -2,16 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "../fnv64.h"
+
 namespace mead::gc {
 namespace {
+
+/// A kFrameBatch frame around an arbitrary (possibly malformed) body.
+Frame batch_of(const Bytes& body) { return Frame(wrap_frame_batch(body)); }
 
 TEST(GcWireTest, HelloRoundTrip) {
   LenFramer f;
   f.feed(encode_hello(HelloMsg{"replica/node1/1"}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->op, Op::kHello);
-  auto m = decode_hello(frame->payload);
+  EXPECT_EQ(frame->op(), Op::kHello);
+  auto m = decode_hello(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->name, "replica/node1/1");
 }
@@ -22,11 +32,11 @@ TEST(GcWireTest, JoinLeaveRoundTrip) {
   f.feed(encode_leave(GroupMsg{"TimeOfDay-servers"}));
   auto j = f.next();
   ASSERT_TRUE(j.has_value());
-  EXPECT_EQ(j->op, Op::kJoin);
-  EXPECT_EQ(decode_group(j->payload)->group, "TimeOfDay-servers");
+  EXPECT_EQ(j->op(), Op::kJoin);
+  EXPECT_EQ(decode_group(*j)->group, "TimeOfDay-servers");
   auto l = f.next();
   ASSERT_TRUE(l.has_value());
-  EXPECT_EQ(l->op, Op::kLeave);
+  EXPECT_EQ(l->op(), Op::kLeave);
 }
 
 TEST(GcWireTest, McastRoundTrip) {
@@ -35,7 +45,7 @@ TEST(GcWireTest, McastRoundTrip) {
   f.feed(encode_mcast(McastMsg{"g", payload}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_mcast(frame->payload);
+  auto m = decode_mcast(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->group, "g");
   EXPECT_EQ(m->payload, payload);
@@ -46,7 +56,7 @@ TEST(GcWireTest, DeliverRoundTrip) {
   f.feed(encode_deliver(DeliverMsg{"g", "sender-1", 42, Bytes{1, 2}}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_deliver(frame->payload);
+  auto m = decode_deliver(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->sender, "sender-1");
   EXPECT_EQ(m->seq, 42u);
@@ -58,7 +68,7 @@ TEST(GcWireTest, ViewRoundTrip) {
   f.feed(encode_view(ViewMsg{"g", 7, {"a", "b", "c"}}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_view(frame->payload);
+  auto m = decode_view(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->view_id, 7u);
   EXPECT_EQ(m->members, (std::vector<std::string>{"a", "b", "c"}));
@@ -67,7 +77,7 @@ TEST(GcWireTest, ViewRoundTrip) {
 TEST(GcWireTest, EmptyViewRoundTrip) {
   LenFramer f;
   f.feed(encode_view(ViewMsg{"g", 1, {}}));
-  auto m = decode_view(f.next()->payload);
+  auto m = decode_view(*f.next());
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(m->members.empty());
 }
@@ -85,8 +95,8 @@ TEST(GcWireTest, OrderedRoundTrip) {
   f.feed(encode_ordered(o));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->op, Op::kOrdered);
-  auto m = decode_ordered_like(frame->payload);
+  EXPECT_EQ(frame->op(), Op::kOrdered);
+  auto m = decode_ordered_like(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->seq, 100u);
   EXPECT_EQ(m->origin, 3u);
@@ -102,7 +112,7 @@ TEST(GcWireTest, SubmitUsesSubmitOpcode) {
   o.member = "m";
   LenFramer f;
   f.feed(encode_submit(o));
-  EXPECT_EQ(f.next()->op, Op::kSubmit);
+  EXPECT_EQ(f.next()->op(), Op::kSubmit);
 }
 
 TEST(GcWireTest, HeartbeatRoundTrip) {
@@ -110,7 +120,7 @@ TEST(GcWireTest, HeartbeatRoundTrip) {
   f.feed(encode_heartbeat(HeartbeatMsg{4}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(decode_heartbeat(frame->payload)->daemon_id, 4u);
+  EXPECT_EQ(decode_heartbeat(*frame)->daemon_id, 4u);
 }
 
 TEST(GcWireTest, SeqWatermarkRoundTrip) {
@@ -118,18 +128,17 @@ TEST(GcWireTest, SeqWatermarkRoundTrip) {
   f.feed(encode_seq_watermark(SeqWatermarkMsg{3, 12345}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->op, Op::kSeqWatermark);
-  auto m = decode_seq_watermark(frame->payload);
+  EXPECT_EQ(frame->op(), Op::kSeqWatermark);
+  auto m = decode_seq_watermark(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->daemon_id, 3u);
   EXPECT_EQ(m->next_seq, 12345u);
 }
 
 TEST(GcWireTest, SeqWatermarkRejectsTruncated) {
-  const Bytes whole = encode_seq_watermark(SeqWatermarkMsg{1, 7});
-  Bytes body(whole.begin() + 5, whole.end());  // strip len+opcode
-  body.resize(body.size() - 1);
-  EXPECT_FALSE(decode_seq_watermark(body).ok());
+  Bytes whole = encode_seq_watermark(SeqWatermarkMsg{1, 7});
+  whole.resize(whole.size() - 1);  // body one byte short
+  EXPECT_FALSE(decode_seq_watermark(Frame(whole)).ok());
 }
 
 TEST(FrameBatchTest, RoundTripIdentity) {
@@ -148,21 +157,21 @@ TEST(FrameBatchTest, RoundTripIdentity) {
   f.feed(encode_frame_batch(frames));
   auto outer = f.next();
   ASSERT_TRUE(outer.has_value());
-  EXPECT_EQ(outer->op, Op::kFrameBatch);
-  auto inner = decode_frame_batch(outer->payload);
+  EXPECT_EQ(outer->op(), Op::kFrameBatch);
+  auto inner = decode_frame_batch(*outer);
   ASSERT_TRUE(inner.ok());
   ASSERT_EQ(inner->size(), 3u);
-  EXPECT_EQ((*inner)[0].op, Op::kHeartbeat);
-  EXPECT_EQ((*inner)[1].op, Op::kSubmit);
-  EXPECT_EQ((*inner)[2].op, Op::kSeqWatermark);
-  auto sub = decode_ordered_like((*inner)[1].payload);
+  EXPECT_EQ((*inner)[0].op(), Op::kHeartbeat);
+  EXPECT_EQ((*inner)[1].op(), Op::kSubmit);
+  EXPECT_EQ((*inner)[2].op(), Op::kSeqWatermark);
+  auto sub = decode_ordered_like((*inner)[1]);
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub->group, "g");
   EXPECT_EQ(sub->payload, (Bytes{1, 2, 3}));
 }
 
 TEST(FrameBatchTest, EmptyBatchIsMalformed) {
-  auto r = decode_frame_batch(Bytes{});
+  auto r = decode_frame_batch(batch_of(Bytes{}));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), WireErr::kMalformed);
 }
@@ -170,13 +179,13 @@ TEST(FrameBatchTest, EmptyBatchIsMalformed) {
 TEST(FrameBatchTest, TruncatedSubFrameRejected) {
   Bytes payload = encode_heartbeat(HeartbeatMsg{1});
   Bytes cut(payload.begin(), payload.end() - 2);
-  auto r = decode_frame_batch(cut);
+  auto r = decode_frame_batch(batch_of(cut));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), WireErr::kTruncated);
   // A dangling length prefix with no opcode byte is also truncation.
   Bytes dangling = payload;
   append_bytes(dangling, Bytes{5, 0, 0});
-  r = decode_frame_batch(dangling);
+  r = decode_frame_batch(batch_of(dangling));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), WireErr::kTruncated);
 }
@@ -184,7 +193,7 @@ TEST(FrameBatchTest, TruncatedSubFrameRejected) {
 TEST(FrameBatchTest, UnknownSubOpRejected) {
   Bytes payload = encode_heartbeat(HeartbeatMsg{1});
   append_bytes(payload, Bytes{1, 0, 0, 0, 99});  // len 1, opcode 99
-  auto r = decode_frame_batch(payload);
+  auto r = decode_frame_batch(batch_of(payload));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), WireErr::kUnknownOp);
 }
@@ -195,7 +204,7 @@ TEST(FrameBatchTest, NestedBatchRejected) {
   f.feed(encode_frame_batch({inner}));
   auto outer = f.next();
   ASSERT_TRUE(outer.has_value());
-  auto r = decode_frame_batch(outer->payload);
+  auto r = decode_frame_batch(*outer);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), WireErr::kMalformed);
 }
@@ -209,12 +218,12 @@ TEST(FrameBatchTest, MixedVersionStreamKeepsFraming) {
   append_bytes(stream, encode_seq_watermark(SeqWatermarkMsg{1, 4}));
   LenFramer f;
   f.feed(stream);
-  EXPECT_EQ(f.next()->op, Op::kHeartbeat);
+  EXPECT_EQ(f.next()->op(), Op::kHeartbeat);
   auto batch = f.next();
   ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->op, Op::kFrameBatch);
-  EXPECT_EQ(decode_frame_batch(batch->payload)->size(), 2u);
-  EXPECT_EQ(f.next()->op, Op::kSeqWatermark);
+  EXPECT_EQ(batch->op(), Op::kFrameBatch);
+  EXPECT_EQ(decode_frame_batch(*batch)->size(), 2u);
+  EXPECT_EQ(f.next()->op(), Op::kSeqWatermark);
   EXPECT_FALSE(f.next().has_value());
   EXPECT_FALSE(f.corrupt());
 }
@@ -234,6 +243,111 @@ TEST(LenFramerTest, FragmentedFramesReassemble) {
     EXPECT_EQ(frames, 2) << "chunk=" << chunk;
     EXPECT_EQ(f.buffered(), 0u);
   }
+}
+
+TEST(LenFramerTest, WholeBufferFrameIsAdopted) {
+  // One frame filling the whole fed buffer: the framer hands that very
+  // buffer to the frame instead of copying it.
+  Bytes wire = encode_mcast(McastMsg{"g", Bytes(1000, 7)});
+  const std::uint8_t* storage = wire.data();
+  LenFramer f;
+  f.feed(std::move(wire));
+  auto frame = f.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->op(), Op::kMcast);
+  EXPECT_EQ(frame->body().data(), storage + Frame::kHeaderSize);
+  EXPECT_EQ(f.buffered(), 0u);
+  auto m = decode_mcast(*frame);
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m->payload, Bytes(1000, 7));
+  EXPECT_FALSE(f.next().has_value());
+}
+
+TEST(LenFramerTest, LastFrameAfterConsumedPrefixIsAdopted) {
+  // Two frames in one chunk: the first is copied out, the second (the
+  // rest of the buffer) adopts it, body offset past the consumed prefix.
+  const Bytes first = encode_heartbeat(HeartbeatMsg{1});
+  const Bytes second = encode_deliver(DeliverMsg{"g", "s", 9, Bytes{4, 5}});
+  Bytes chunk = first;
+  append_bytes(chunk, second);
+  const std::uint8_t* storage = chunk.data();
+  LenFramer f;
+  f.feed(std::move(chunk));
+  auto a = f.next();
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->op(), Op::kHeartbeat);
+  EXPECT_EQ(decode_heartbeat(*a)->daemon_id, 1u);
+  EXPECT_EQ(f.buffered(), second.size());
+  auto b = f.next();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->op(), Op::kDeliver);
+  EXPECT_EQ(b->body().data(), storage + first.size() + Frame::kHeaderSize);
+  auto m = decode_deliver(*b);
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m->seq, 9u);
+  EXPECT_EQ(m->payload, (Bytes{4, 5}));
+  EXPECT_EQ(f.buffered(), 0u);
+  EXPECT_FALSE(f.next().has_value());
+}
+
+TEST(LenFramerTest, FrameSplitAcrossTwoFeeds) {
+  // The second feed completes a frame whose head is still buffered, and
+  // also carries the head of the next one.
+  Bytes stream = encode_view(ViewMsg{"g", 3, {"a", "b"}});
+  const std::size_t first_len = stream.size();
+  append_bytes(stream, encode_peer_hello(PeerHelloMsg{6}));
+  const std::size_t cut = first_len / 2;
+  const std::size_t cut2 = first_len + 3;
+  LenFramer f;
+  f.feed(Bytes(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(cut)));
+  EXPECT_FALSE(f.next().has_value());
+  EXPECT_EQ(f.buffered(), cut);
+  f.feed(Bytes(stream.begin() + static_cast<std::ptrdiff_t>(cut),
+               stream.begin() + static_cast<std::ptrdiff_t>(cut2)));
+  auto v = f.next();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->op(), Op::kView);
+  EXPECT_EQ(decode_view(*v)->members, (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(f.next().has_value());
+  EXPECT_EQ(f.buffered(), 3u);
+  f.feed(Bytes(stream.begin() + static_cast<std::ptrdiff_t>(cut2), stream.end()));
+  auto h = f.next();
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(decode_peer_hello(*h)->daemon_id, 6u);
+  EXPECT_EQ(f.buffered(), 0u);
+  EXPECT_FALSE(f.corrupt());
+}
+
+TEST(LenFramerTest, TwoFramesInOneChunk) {
+  Bytes chunk = encode_join(GroupMsg{"alpha"});
+  append_bytes(chunk, encode_leave(GroupMsg{"beta"}));
+  LenFramer f;
+  f.feed(std::move(chunk));
+  auto j = f.next();
+  auto l = f.next();
+  ASSERT_TRUE(j.has_value());
+  ASSERT_TRUE(l.has_value());
+  EXPECT_EQ(j->op(), Op::kJoin);
+  EXPECT_EQ(decode_group(*j)->group, "alpha");
+  EXPECT_EQ(l->op(), Op::kLeave);
+  EXPECT_EQ(decode_group(*l)->group, "beta");
+  EXPECT_FALSE(f.next().has_value());
+  EXPECT_EQ(f.buffered(), 0u);
+}
+
+TEST(GcWireTest, DeliverFromOrderedMatchesDeliverMsg) {
+  // The daemon's direct encode of a stamped message is the same frame the
+  // client decodes as a DeliverMsg.
+  const OrderedMsg o = [] {
+    OrderedMsg m;
+    m.seq = 81;
+    m.group = "grp";
+    m.member = "replica/1";
+    m.payload = Bytes{1, 2, 3, 4, 5};
+    return m;
+  }();
+  EXPECT_EQ(encode_deliver(o),
+            encode_deliver(DeliverMsg{o.group, o.member, o.seq, o.payload}));
 }
 
 TEST(LenFramerTest, BadOpcodePoisons) {
@@ -258,7 +372,90 @@ TEST(LenFramerTest, MalformedPayloadRejectedByDecoder) {
   f.feed(evil);
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());  // framing fine...
-  EXPECT_FALSE(decode_deliver(frame->payload).ok());  // ...content is not
+  EXPECT_FALSE(decode_deliver(*frame).ok());  // ...content is not
+}
+
+// ---- byte stability ----
+//
+// FNV-64 digests of every encoder's output for fixed sample messages,
+// taken from the field-by-field encoders that preceded the prefix writer.
+// A digest change means a wire-format change, never a refactor.
+
+OrderedMsg sample_ordered() {
+  OrderedMsg o;
+  o.seq = 0x0102030405ull;
+  o.origin = 3;
+  o.msg_id = 77;
+  o.kind = PayloadKind::kData;
+  o.group = "mead/TimeOfDay/ckpt";
+  o.member = "replica/node2/1";
+  for (std::uint8_t i = 0; i < 23; ++i) o.payload.push_back(i);
+  return o;
+}
+
+std::vector<std::pair<std::string, Bytes>> encoder_samples() {
+  Bytes payload;
+  for (std::uint8_t i = 0; i < 37; ++i) payload.push_back(static_cast<std::uint8_t>(i * 7));
+  StateSyncMsg sync;
+  sync.next_seq = 4096;
+  GroupSnapshot snap;
+  snap.group = "grp";
+  snap.view_id = 9;
+  snap.members = {"a", "bb", "ccc"};
+  snap.homes = {0, 2, 1};
+  sync.groups.push_back(snap);
+  sync.groups.push_back(GroupSnapshot{});
+  sync.alive = {0, 1, 2, 4};
+  return {
+      {"hello", encode_hello(HelloMsg{"replica/node1/1"})},
+      {"join", encode_join(GroupMsg{"TimeOfDay-servers"})},
+      {"leave", encode_leave(GroupMsg{"g"})},
+      {"mcast", encode_mcast(McastMsg{"grp", payload})},
+      {"deliver", encode_deliver(DeliverMsg{"grp", "sender-1", 42, payload})},
+      {"view", encode_view(ViewMsg{"g", 7, {"a", "bb", "ccc"}})},
+      {"peer_hello", encode_peer_hello(PeerHelloMsg{3})},
+      {"submit", encode_submit(sample_ordered())},
+      {"ordered", encode_ordered(sample_ordered())},
+      {"heartbeat", encode_heartbeat(HeartbeatMsg{4})},
+      {"rejoin", encode_rejoin(RejoinMsg{1, 2, 3, 4})},
+      {"state_sync", encode_state_sync(sync)},
+      {"bridge", encode_bridge(BridgeMsg{5, true})},
+      {"alive_set", encode_alive_set(AliveSetMsg{{0, 2, 5}})},
+      {"seq_watermark", encode_seq_watermark(SeqWatermarkMsg{3, 12345})},
+      {"frame_batch",
+       encode_frame_batch({encode_heartbeat(HeartbeatMsg{2}),
+                           encode_submit(sample_ordered())})},
+  };
+}
+
+TEST(GcWireDigestTest, EncoderOutputIsByteStable) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"hello", 0xfcc00a759021b649ull},
+      {"join", 0xf40865381b04281dull},
+      {"leave", 0x13647c7edcaf2cf0ull},
+      {"mcast", 0x4152e0c28a5c5f41ull},
+      {"deliver", 0x203985ec8de04b27ull},
+      {"view", 0x351ed9e58419257full},
+      {"peer_hello", 0xafd36d729612e979ull},
+      {"submit", 0xe7edc30913a87941ull},
+      {"ordered", 0x2cac8003aed458c2ull},
+      {"heartbeat", 0xbf78c2f9e0aa1503ull},
+      {"rejoin", 0xd649c9dda453b6eaull},
+      {"state_sync", 0x30724b7e9427c32bull},
+      {"bridge", 0x184cddc7f0baeb47ull},
+      {"alive_set", 0x680ce6ed205da1dfull},
+      {"seq_watermark", 0x82da24004cd4dc17ull},
+      {"frame_batch", 0x7751d2517ae15d83ull},
+  };
+  for (const auto& [name, bytes] : encoder_samples()) {
+    const std::uint64_t digest = test_util::fnv64(bytes);
+    auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no digest for " << name << ": 0x" << std::hex << digest;
+      continue;
+    }
+    EXPECT_EQ(digest, it->second) << name << ": 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

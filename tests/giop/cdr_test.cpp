@@ -89,6 +89,41 @@ TEST(CdrAlignmentTest, ReaderHonoursStartOffset) {
   EXPECT_EQ(r.read_u64().value(), 0x1111222233334444ull);
 }
 
+TEST(CdrAlignmentTest, PrefixWriterAlignsRelativeToBody) {
+  // A reserved framing prefix does not shift the body's alignment: the
+  // body bytes equal those of a writer without the prefix.
+  CdrWriter plain;
+  CdrWriter framed = CdrWriter::with_prefix(5);
+  for (CdrWriter* w : {&plain, &framed}) {
+    w->write_u8(1);
+    w->write_u64(0x0102030405060708ull);
+    w->write_string("abc");
+    w->write_u32(9);
+  }
+  const Bytes body = plain.take();
+  const Bytes whole = framed.take();
+  ASSERT_EQ(whole.size(), body.size() + 5);
+  EXPECT_EQ(Bytes(whole.begin(), whole.begin() + 5), Bytes(5, 0));
+  EXPECT_EQ(Bytes(whole.begin() + 5, whole.end()), body);
+  CdrReader r(whole, ByteOrder::kLittleEndian, 5);
+  EXPECT_EQ(r.read_u8().value(), 1);
+  EXPECT_EQ(r.read_u64().value(), 0x0102030405060708ull);
+  EXPECT_EQ(r.read_string().value(), "abc");
+  EXPECT_EQ(r.read_u32().value(), 9u);
+}
+
+TEST(CdrBoundsTest, SkipAdvancesOrFails) {
+  const Bytes buf{1, 2, 3, 4, 5};
+  CdrReader r(buf, ByteOrder::kLittleEndian);
+  EXPECT_TRUE(r.skip(2).ok());
+  EXPECT_EQ(r.read_u8().value(), 3);
+  EXPECT_FALSE(r.skip(3).ok());  // only two left
+  EXPECT_EQ(r.position(), 3u);   // a failed skip does not move
+  EXPECT_TRUE(r.skip(2).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(r.skip(0).ok());
+}
+
 TEST(CdrStringTest, RoundTrip) {
   CdrWriter w;
   w.write_string("TimeOfDay");

@@ -45,6 +45,22 @@ TEST(AppStateTest, DirtyTrackingAccumulatesAndClears) {
   EXPECT_EQ(s.take_dirty().size(), 1u);
 }
 
+TEST(AppStateTest, DirtySetIsExactSortedAndClearable) {
+  // Ops 3, 4, 5 over 4 keys dirty keys 3, 0, 1 in that order: the delta
+  // source sorts them; a base clears them without a take.
+  AppState s(4);
+  (void)s.apply_next();
+  (void)s.apply_next();
+  EXPECT_EQ(s.take_dirty(), (std::vector<std::uint32_t>{1, 2}));
+  for (int i = 0; i < 3; ++i) (void)s.apply_next();
+  (void)s.apply_next();  // op 6: key 2
+  (void)s.apply_next();  // op 7: key 3 again, listed once
+  EXPECT_EQ(s.take_dirty(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  (void)s.apply_next();
+  s.clear_dirty();
+  EXPECT_TRUE(s.take_dirty().empty());
+}
+
 TEST(AppStateTest, InstallAndProgressRebuildExactState) {
   AppState primary(8);
   for (int i = 0; i < 40; ++i) (void)primary.apply_next();
@@ -88,6 +104,32 @@ TEST(CheckpointStoreTest, BaseThenDeltasThenRebase) {
   // The retained chain starts at the new base: nothing older is served.
   EXPECT_EQ(store.chain().size(), 1u);
   EXPECT_EQ(store.chain().front().epoch, base2.epoch);
+}
+
+TEST(CheckpointStoreTest, RvalueApplyMovesOnlyWhenApplied) {
+  AppState primary(8);
+  CheckpointStore pstore(/*rebase_every=*/4);
+  (void)primary.apply_next();
+  Checkpoint base = pstore.take(primary);
+  (void)primary.apply_next();
+  Checkpoint d1 = pstore.take(primary);
+  (void)primary.apply_next();
+  Checkpoint d2 = pstore.take(primary);
+
+  AppState mirror(8);
+  CheckpointStore mstore;
+  ASSERT_EQ(mstore.apply(std::move(base), mirror),
+            CheckpointStore::Apply::kApplied);
+  // A gapped epoch is refused and left intact for the caller to buffer.
+  const Checkpoint d2_copy = d2;
+  EXPECT_EQ(mstore.apply(std::move(d2), mirror), CheckpointStore::Apply::kGap);
+  EXPECT_EQ(d2, d2_copy);
+  EXPECT_EQ(mstore.apply(std::move(d1), mirror),
+            CheckpointStore::Apply::kApplied);
+  EXPECT_EQ(mstore.apply(std::move(d2), mirror),
+            CheckpointStore::Apply::kApplied);
+  EXPECT_EQ(mstore.chain().back(), d2_copy);
+  EXPECT_EQ(mirror.digest(), primary.digest());
 }
 
 TEST(CheckpointStoreTest, MirrorFollowsChainExactly) {
