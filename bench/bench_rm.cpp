@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;

@@ -193,14 +193,16 @@ sim::Task<StartResult> ExperimentClient::setup_target(Target& target) {
       target.read_set = std::make_unique<core::ReadSetSubscriber>(
           *proc_, opts_.member + "/rs/" + target.service,
           net::Endpoint{bed_.client_host(), gc::kDefaultDaemonPort},
-          target.service, [router](const core::ReadSet& rs) {
+          target.service,
+          [router](const core::ReadSet& rs,
+                   const std::vector<std::string>& catching_up) {
             std::vector<orb::Router::Target> members;
             members.reserve(rs.entries.size());
             for (const auto& e : rs.entries) {
               members.push_back(orb::Router::Target{e.member, e.ior});
             }
             router->update(rs.version, rs.primary, std::move(members),
-                           rs.catching_up);
+                           catching_up);
           });
       const bool up = co_await target.read_set->start();
       if (!up) {

@@ -190,7 +190,7 @@ StartResult Testbed::start() {
   rm_cfg.launch_delay = opts_.rm.launch_delay;
   rm_cfg.self_supervise = opts_.rm.replicas > 1;
   rm_cfg.delta_read_sets = opts_.rm.delta_read_sets;
-  rm_cfg.readmit_retired = opts_.rm.readmit;
+  rm_cfg.readmit = opts_.rm.readmit;
   std::size_t target_total = 0;
   for (const auto& g : groups_) {
     core::GroupTarget target{g->service(), g->spec().replica_count};

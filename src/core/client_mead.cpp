@@ -55,7 +55,7 @@ sim::Task<std::optional<Bytes>> ClientMead::mask_abrupt_failure(int fd) {
   const std::uint64_t nonce = ++query_nonce_;
   (void)co_await gc_->multicast(
       replica_group(cfg_.service),
-      encode_primary_query(PrimaryQuery{
+      encode_ctrl(PrimaryQuery{
           gc::GcClient::reply_group_of(cfg_.member), nonce}));
 
   const TimePoint deadline = proc_->sim().now() + query_timeout_;
@@ -66,9 +66,9 @@ sim::Task<std::optional<Bytes>> ClientMead::mask_abrupt_failure(int fd) {
     if (!ev.value()) break;           // timeout
     if (ev.value()->kind != gc::Event::Kind::kMessage) continue;
     auto ctrl = decode_ctrl(ev.value()->payload);
-    if (ctrl && ctrl->kind == CtrlKind::kPrimaryAnswer &&
-        ctrl->answer->nonce == nonce) {
-      answer = std::move(ctrl->answer);
+    auto* a = ctrl ? std::get_if<PrimaryAnswer>(&*ctrl) : nullptr;
+    if (a != nullptr && a->nonce == nonce) {
+      answer = std::move(*a);
       break;
     }
   }

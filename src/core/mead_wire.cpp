@@ -1,6 +1,7 @@
 #include "core/mead_wire.h"
 
 #include <algorithm>
+#include <array>
 
 namespace mead::core {
 
@@ -14,45 +15,51 @@ namespace {
 // MEAD message kinds (only fail-over exists on the piggyback path).
 constexpr giop::MsgType kFailoverType = giop::MsgType::kRequest;
 
-// A control payload is the kind byte followed by a CDR body whose alignment
-// is relative to the body's first byte. Encoders write the body behind a
-// reserved kind byte and fill it in afterwards: one pass, no re-wrap.
-CdrWriter ctrl_writer() { return CdrWriter::with_prefix(1); }
+// The checkpoint fields between the sender's nonce and value_pad.
+constexpr auto kCkptHeader = std::tuple{
+    &state::Checkpoint::epoch,       &state::Checkpoint::base_epoch,
+    &state::Checkpoint::is_base,     &state::Checkpoint::applied,
+    &state::Checkpoint::prev_digest, &state::Checkpoint::digest};
 
-Bytes finish(CdrWriter& w, CtrlKind kind) {
-  Bytes out = w.take();
-  out[0] = static_cast<std::uint8_t>(kind);
-  return out;
+void write_ckpt(CdrWriter& w, std::string_view member, std::uint64_t nonce,
+                std::uint32_t value_pad, const state::Checkpoint& c) {
+  // Header + per entry: u32 key, u64 value, value_pad bytes, alignment.
+  w.reserve(w.size() + 96 + member.size() +
+            c.entries.size() * (20 + value_pad));
+  w.write_string(member);
+  w.write_u64(nonce);
+  giop::encode_fields(w, c, kCkptHeader);
+  w.write_u32(value_pad);
+  w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
+  const Bytes pad(value_pad, 0);
+  for (const auto& [key, value] : c.entries) {
+    w.write_u32(key);
+    w.write_u64(value);
+    if (value_pad > 0) w.write_raw(pad);
+  }
 }
 
-void write_announce(CdrWriter& w, const Announce& m) {
-  w.write_string(m.member);
-  w.write_string(m.endpoint.host);
-  w.write_u16(m.endpoint.port);
-  giop::encode_ior(w, m.ior);
+// One decoder per CtrlMsg alternative, indexed by kind - 1.
+template <std::size_t I>
+std::optional<CtrlMsg> decode_as(CdrReader& r) {
+  std::optional<CtrlMsg> msg(std::in_place, std::in_place_index<I>);
+  if (!giop::decode(r, std::get<I>(*msg))) msg.reset();
+  return msg;
 }
 
-std::optional<Announce> read_announce(CdrReader& r) {
-  auto member = r.read_string();
-  if (!member) return std::nullopt;
-  auto host = r.read_string();
-  if (!host) return std::nullopt;
-  auto port = r.read_u16();
-  if (!port) return std::nullopt;
-  auto ior = giop::decode_ior(r);
-  if (!ior) return std::nullopt;
-  return Announce{std::move(member.value()),
-                  net::Endpoint{std::move(host.value()), port.value()},
-                  std::move(ior.value())};
+template <std::size_t... I>
+constexpr auto decoder_table(std::index_sequence<I...>) {
+  return std::array{&decode_as<I>...};
 }
+
+constexpr auto kDecoders = decoder_table(
+    std::make_index_sequence<std::variant_size_v<CtrlMsg>>{});
 
 }  // namespace
 
 Bytes encode_failover_frame(const FailoverMsg& m) {
   CdrWriter w;
-  w.write_string(m.target.host);
-  w.write_u16(m.target.port);
-  w.write_string(m.member);
+  giop::encode(w, m);
   Bytes out = giop::encode_header(
       giop::Header{giop::Magic::kMead, w.order(), kFailoverType,
                    static_cast<std::uint32_t>(w.size())});
@@ -65,209 +72,43 @@ std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame) {
   if (!h || h->magic != giop::Magic::kMead) return std::nullopt;
   if (frame.size() < giop::kHeaderSize + h->body_size) return std::nullopt;
   CdrReader r(frame, h->order, giop::kHeaderSize);
-  auto host = r.read_string();
-  if (!host) return std::nullopt;
-  auto port = r.read_u16();
-  if (!port) return std::nullopt;
-  auto member = r.read_string();
-  if (!member) return std::nullopt;
-  return FailoverMsg{net::Endpoint{std::move(host.value()), port.value()},
-                     std::move(member.value())};
+  std::optional<FailoverMsg> m(std::in_place);
+  if (!giop::decode(r, *m)) m.reset();
+  return m;
 }
 
-Bytes encode_announce(const Announce& m) {
-  CdrWriter w = ctrl_writer();
-  write_announce(w, m);
-  return finish(w, CtrlKind::kAnnounce);
+void codec_write(CdrWriter& w, const CkptDelta& m) {
+  write_ckpt(w, m.member, m.nonce, m.value_pad, m.checkpoint);
 }
 
-Bytes encode_listing(const Listing& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& e : m.entries) write_announce(w, e);
-  return finish(w, CtrlKind::kListing);
-}
-
-Bytes encode_launch_request(const LaunchRequest& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_double(m.usage);
-  return finish(w, CtrlKind::kLaunchRequest);
-}
-
-Bytes encode_primary_query(const PrimaryQuery& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.reply_group);
-  w.write_u64(m.nonce);
-  return finish(w, CtrlKind::kPrimaryQuery);
-}
-
-Bytes encode_primary_answer(const PrimaryAnswer& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_string(m.endpoint.host);
-  w.write_u16(m.endpoint.port);
-  w.write_u64(m.nonce);
-  return finish(w, CtrlKind::kPrimaryAnswer);
-}
-
-Bytes encode_read_set(const ReadSet& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_u64(m.version);
-  w.write_string(m.primary);
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& e : m.entries) write_announce(w, e);
-  return finish(w, CtrlKind::kReadSet);
-}
-
-Bytes encode_read_set_delta(const ReadSetDelta& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_u64(m.base_version);
-  w.write_u64(m.version);
-  w.write_string(m.primary);
-  w.write_u32(static_cast<std::uint32_t>(m.removed.size()));
-  for (const auto& name : m.removed) w.write_string(name);
-  w.write_u32(static_cast<std::uint32_t>(m.added.size()));
-  for (const auto& e : m.added) write_announce(w, e);
-  return finish(w, CtrlKind::kReadSetDelta);
-}
-
-Bytes encode_node_crash(const NodeCrash& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.host);
-  return finish(w, CtrlKind::kNodeCrash);
-}
-
-Bytes encode_launch_failed(const LaunchFailed& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.service);
-  w.write_u32(static_cast<std::uint32_t>(m.incarnation));
-  return finish(w, CtrlKind::kLaunchFailed);
-}
-
-Bytes encode_state(const StateTransfer& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_u64(m.version);
-  w.write_octet_seq(m.state);
-  return finish(w, CtrlKind::kState);
+bool codec_read(CdrReader& r, CkptDelta& m) {
+  state::Checkpoint& c = m.checkpoint;
+  std::uint32_t n = 0;
+  if (!(giop::decode(r, m.member) && giop::decode(r, m.nonce) &&
+        giop::decode_fields(r, c, kCkptHeader) &&
+        giop::decode(r, m.value_pad) && giop::decode(r, n))) {
+    return false;
+  }
+  // Every entry takes at least 12 + value_pad bytes: a corrupt count
+  // cannot reserve more than the frame could hold.
+  const std::size_t min_entry = 12 + static_cast<std::size_t>(m.value_pad);
+  c.entries.reserve(std::min<std::size_t>(n, r.remaining() / min_entry));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    auto key = r.read_u32();
+    auto value = r.read_u64();
+    if (!key || !value || !r.skip(m.value_pad)) return false;
+    c.entries.emplace_back(key.value(), value.value());
+  }
+  return true;
 }
 
 Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
                         std::uint32_t value_pad, const state::Checkpoint& c) {
-  CdrWriter w = ctrl_writer();
-  // Header + per entry: u32 key, u64 value, value_pad bytes, alignment.
-  w.reserve(1 + 96 + member.size() + c.entries.size() * (20 + value_pad));
-  w.write_string(member);
-  w.write_u64(nonce);
-  w.write_u64(c.epoch);
-  w.write_u64(c.base_epoch);
-  w.write_bool(c.is_base);
-  w.write_u64(c.applied);
-  w.write_u64(c.prev_digest);
-  w.write_u64(c.digest);
-  w.write_u32(value_pad);
-  w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
-  const Bytes pad(value_pad, 0);
-  for (const auto& [key, value] : c.entries) {
-    w.write_u32(key);
-    w.write_u64(value);
-    if (value_pad > 0) w.write_raw(pad);
-  }
-  return finish(w, CtrlKind::kCkptDelta);
-}
-
-Bytes encode_ckpt_request(const CkptRequest& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_u64(m.nonce);
-  w.write_u64(m.have_epoch);
-  return finish(w, CtrlKind::kCkptRequest);
-}
-
-Bytes encode_log_replay(const LogReplay& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_u64(m.nonce);
-  w.write_u64(m.applied);
-  w.write_u64(m.digest);
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (std::uint64_t seq : m.entries) w.write_u64(seq);
-  return finish(w, CtrlKind::kLogReplay);
-}
-
-Bytes encode_read_set_nack(const ReadSetNack& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.service);
-  w.write_u64(m.have_version);
-  return finish(w, CtrlKind::kReadSetNack);
-}
-
-Bytes encode_alive_epoch(const AliveEpoch& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_u64(m.epoch);
-  w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
-  for (const auto& host : m.alive) w.write_string(host);
-  return finish(w, CtrlKind::kAliveEpoch);
-}
-
-Bytes encode_node_join(const NodeJoin& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.host);
-  return finish(w, CtrlKind::kNodeJoin);
-}
-
-Bytes encode_retire(const Retire& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.service);
-  w.write_string(m.member);
-  return finish(w, CtrlKind::kRetire);
-}
-
-Bytes encode_usage_report(const UsageReport& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_double(m.usage);
-  w.write_u64(m.at_ms);
-  return finish(w, CtrlKind::kUsageReport);
-}
-
-Bytes encode_handoff(const Handoff& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.service);
-  w.write_string(m.victim);
-  w.write_string(m.successor);
-  return finish(w, CtrlKind::kHandoff);
-}
-
-Bytes encode_quorum_set(const ReadSet& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_u64(m.version);
-  w.write_string(m.primary);
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& e : m.entries) write_announce(w, e);
-  w.write_u32(static_cast<std::uint32_t>(m.catching_up.size()));
-  for (const auto& name : m.catching_up) w.write_string(name);
-  return finish(w, CtrlKind::kQuorumSet);
-}
-
-Bytes encode_catchup_done(const CatchupDone& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.service);
-  w.write_string(m.member);
-  return finish(w, CtrlKind::kCatchupDone);
-}
-
-Bytes encode_reply_cache(const ReplyCache& m) {
-  CdrWriter w = ctrl_writer();
-  w.write_string(m.member);
-  w.write_u64(m.nonce);
-  w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& [client_id, seq] : m.entries) {
-    w.write_u64(client_id);
-    w.write_u64(seq);
-  }
-  return finish(w, CtrlKind::kReplyCache);
+  CdrWriter w = CdrWriter::with_prefix(1);
+  write_ckpt(w, member, nonce, value_pad, c);
+  Bytes out = w.take();
+  out[0] = static_cast<std::uint8_t>(CtrlKind::kCkptDelta);
+  return out;
 }
 
 std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
@@ -276,364 +117,12 @@ std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
 }
 
 std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
-  if (payload.empty()) return std::nullopt;
-  CtrlMsg msg;
-  const auto kind = payload[0];
+  if (payload.empty() || payload[0] == 0 || payload[0] > kDecoders.size()) {
+    return std::nullopt;
+  }
   // The body starts after the kind byte; CDR alignment is relative to it.
   CdrReader r(payload, ByteOrder::kLittleEndian, 1);
-  switch (static_cast<CtrlKind>(kind)) {
-    case CtrlKind::kAnnounce: {
-      msg.kind = CtrlKind::kAnnounce;
-      auto a = read_announce(r);
-      if (!a) return std::nullopt;
-      msg.announce = std::move(a);
-      return msg;
-    }
-    case CtrlKind::kListing: {
-      msg.kind = CtrlKind::kListing;
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      Listing listing;
-      listing.entries.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto a = read_announce(r);
-        if (!a) return std::nullopt;
-        listing.entries.push_back(std::move(*a));
-      }
-      msg.listing = std::move(listing);
-      return msg;
-    }
-    case CtrlKind::kLaunchRequest: {
-      msg.kind = CtrlKind::kLaunchRequest;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      auto usage = r.read_double();
-      if (!usage) return std::nullopt;
-      msg.launch = LaunchRequest{std::move(member.value()), usage.value()};
-      return msg;
-    }
-    case CtrlKind::kPrimaryQuery: {
-      msg.kind = CtrlKind::kPrimaryQuery;
-      auto rg = r.read_string();
-      if (!rg) return std::nullopt;
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      msg.query = PrimaryQuery{std::move(rg.value()), nonce.value()};
-      return msg;
-    }
-    case CtrlKind::kPrimaryAnswer: {
-      msg.kind = CtrlKind::kPrimaryAnswer;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      auto host = r.read_string();
-      if (!host) return std::nullopt;
-      auto port = r.read_u16();
-      if (!port) return std::nullopt;
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      msg.answer = PrimaryAnswer{
-          std::move(member.value()),
-          net::Endpoint{std::move(host.value()), port.value()}, nonce.value()};
-      return msg;
-    }
-    case CtrlKind::kReadSet: {
-      msg.kind = CtrlKind::kReadSet;
-      auto version = r.read_u64();
-      if (!version) return std::nullopt;
-      auto primary = r.read_string();
-      if (!primary) return std::nullopt;
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      ReadSet rs;
-      rs.version = version.value();
-      rs.primary = std::move(primary.value());
-      rs.entries.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto a = read_announce(r);
-        if (!a) return std::nullopt;
-        rs.entries.push_back(std::move(*a));
-      }
-      msg.read_set = std::move(rs);
-      return msg;
-    }
-    case CtrlKind::kReadSetDelta: {
-      msg.kind = CtrlKind::kReadSetDelta;
-      auto base = r.read_u64();
-      if (!base) return std::nullopt;
-      auto version = r.read_u64();
-      if (!version) return std::nullopt;
-      auto primary = r.read_string();
-      if (!primary) return std::nullopt;
-      auto nr = r.read_u32();
-      if (!nr) return std::nullopt;
-      ReadSetDelta d;
-      d.base_version = base.value();
-      d.version = version.value();
-      d.primary = std::move(primary.value());
-      d.removed.reserve(nr.value());
-      for (std::uint32_t i = 0; i < nr.value(); ++i) {
-        auto name = r.read_string();
-        if (!name) return std::nullopt;
-        d.removed.push_back(std::move(name.value()));
-      }
-      auto na = r.read_u32();
-      if (!na) return std::nullopt;
-      d.added.reserve(na.value());
-      for (std::uint32_t i = 0; i < na.value(); ++i) {
-        auto a = read_announce(r);
-        if (!a) return std::nullopt;
-        d.added.push_back(std::move(*a));
-      }
-      msg.read_set_delta = std::move(d);
-      return msg;
-    }
-    case CtrlKind::kNodeCrash: {
-      msg.kind = CtrlKind::kNodeCrash;
-      auto host = r.read_string();
-      if (!host) return std::nullopt;
-      msg.node_crash = NodeCrash{std::move(host.value())};
-      return msg;
-    }
-    case CtrlKind::kLaunchFailed: {
-      msg.kind = CtrlKind::kLaunchFailed;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto incarnation = r.read_u32();
-      if (!incarnation) return std::nullopt;
-      msg.launch_failed = LaunchFailed{std::move(service.value()),
-                                       static_cast<int>(incarnation.value())};
-      return msg;
-    }
-    case CtrlKind::kState: {
-      msg.kind = CtrlKind::kState;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      auto version = r.read_u64();
-      if (!version) return std::nullopt;
-      auto state = r.read_octet_seq();
-      if (!state) return std::nullopt;
-      msg.state = StateTransfer{std::move(member.value()), version.value(),
-                                std::move(state.value())};
-      return msg;
-    }
-    case CtrlKind::kCkptDelta: {
-      msg.kind = CtrlKind::kCkptDelta;
-      CkptDelta d;
-      state::Checkpoint& c = d.checkpoint;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      d.member = std::move(member.value());
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      d.nonce = nonce.value();
-      auto epoch = r.read_u64();
-      if (!epoch) return std::nullopt;
-      c.epoch = epoch.value();
-      auto base = r.read_u64();
-      if (!base) return std::nullopt;
-      c.base_epoch = base.value();
-      auto is_base = r.read_bool();
-      if (!is_base) return std::nullopt;
-      c.is_base = is_base.value();
-      auto applied = r.read_u64();
-      if (!applied) return std::nullopt;
-      c.applied = applied.value();
-      auto prev_digest = r.read_u64();
-      if (!prev_digest) return std::nullopt;
-      c.prev_digest = prev_digest.value();
-      auto digest = r.read_u64();
-      if (!digest) return std::nullopt;
-      c.digest = digest.value();
-      auto pad = r.read_u32();
-      if (!pad) return std::nullopt;
-      d.value_pad = pad.value();
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      // Every entry takes at least 12 + value_pad bytes: a corrupt count
-      // cannot reserve more than the frame could hold.
-      const std::size_t min_entry = 12 + static_cast<std::size_t>(d.value_pad);
-      c.entries.reserve(std::min<std::size_t>(n.value(),
-                                              r.remaining() / min_entry));
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto key = r.read_u32();
-        if (!key) return std::nullopt;
-        auto value = r.read_u64();
-        if (!value) return std::nullopt;
-        if (!r.skip(d.value_pad)) return std::nullopt;
-        c.entries.emplace_back(key.value(), value.value());
-      }
-      msg.ckpt_delta = std::move(d);
-      return msg;
-    }
-    case CtrlKind::kCkptRequest: {
-      msg.kind = CtrlKind::kCkptRequest;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      auto have = r.read_u64();
-      if (!have) return std::nullopt;
-      msg.ckpt_request = CkptRequest{std::move(member.value()), nonce.value(),
-                                     have.value()};
-      return msg;
-    }
-    case CtrlKind::kLogReplay: {
-      msg.kind = CtrlKind::kLogReplay;
-      LogReplay lr;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      lr.member = std::move(member.value());
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      lr.nonce = nonce.value();
-      auto applied = r.read_u64();
-      if (!applied) return std::nullopt;
-      lr.applied = applied.value();
-      auto digest = r.read_u64();
-      if (!digest) return std::nullopt;
-      lr.digest = digest.value();
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      lr.entries.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto seq = r.read_u64();
-        if (!seq) return std::nullopt;
-        lr.entries.push_back(seq.value());
-      }
-      msg.log_replay = std::move(lr);
-      return msg;
-    }
-    case CtrlKind::kReadSetNack: {
-      msg.kind = CtrlKind::kReadSetNack;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto have = r.read_u64();
-      if (!have) return std::nullopt;
-      msg.read_set_nack = ReadSetNack{std::move(service.value()),
-                                      have.value()};
-      return msg;
-    }
-    case CtrlKind::kAliveEpoch: {
-      msg.kind = CtrlKind::kAliveEpoch;
-      AliveEpoch ae;
-      auto epoch = r.read_u64();
-      if (!epoch) return std::nullopt;
-      ae.epoch = epoch.value();
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      ae.alive.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto host = r.read_string();
-        if (!host) return std::nullopt;
-        ae.alive.push_back(std::move(host.value()));
-      }
-      msg.alive_epoch = std::move(ae);
-      return msg;
-    }
-    case CtrlKind::kNodeJoin: {
-      msg.kind = CtrlKind::kNodeJoin;
-      auto host = r.read_string();
-      if (!host) return std::nullopt;
-      msg.node_join = NodeJoin{std::move(host.value())};
-      return msg;
-    }
-    case CtrlKind::kRetire: {
-      msg.kind = CtrlKind::kRetire;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      msg.retire = Retire{std::move(service.value()),
-                          std::move(member.value())};
-      return msg;
-    }
-    case CtrlKind::kUsageReport: {
-      msg.kind = CtrlKind::kUsageReport;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      auto usage = r.read_double();
-      if (!usage) return std::nullopt;
-      auto at = r.read_u64();
-      if (!at) return std::nullopt;
-      msg.usage_report = UsageReport{std::move(member.value()), usage.value(),
-                                     at.value()};
-      return msg;
-    }
-    case CtrlKind::kHandoff: {
-      msg.kind = CtrlKind::kHandoff;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto victim = r.read_string();
-      if (!victim) return std::nullopt;
-      auto successor = r.read_string();
-      if (!successor) return std::nullopt;
-      msg.handoff = Handoff{std::move(service.value()),
-                            std::move(victim.value()),
-                            std::move(successor.value())};
-      return msg;
-    }
-    case CtrlKind::kQuorumSet: {
-      msg.kind = CtrlKind::kQuorumSet;
-      auto version = r.read_u64();
-      if (!version) return std::nullopt;
-      auto primary = r.read_string();
-      if (!primary) return std::nullopt;
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      ReadSet rs;
-      rs.version = version.value();
-      rs.primary = std::move(primary.value());
-      rs.entries.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto a = read_announce(r);
-        if (!a) return std::nullopt;
-        rs.entries.push_back(std::move(*a));
-      }
-      auto nc = r.read_u32();
-      if (!nc) return std::nullopt;
-      rs.catching_up.reserve(nc.value());
-      for (std::uint32_t i = 0; i < nc.value(); ++i) {
-        auto name = r.read_string();
-        if (!name) return std::nullopt;
-        rs.catching_up.push_back(std::move(name.value()));
-      }
-      msg.read_set = std::move(rs);
-      return msg;
-    }
-    case CtrlKind::kCatchupDone: {
-      msg.kind = CtrlKind::kCatchupDone;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      msg.catchup_done = CatchupDone{std::move(service.value()),
-                                     std::move(member.value())};
-      return msg;
-    }
-    case CtrlKind::kReplyCache: {
-      msg.kind = CtrlKind::kReplyCache;
-      ReplyCache rc;
-      auto member = r.read_string();
-      if (!member) return std::nullopt;
-      rc.member = std::move(member.value());
-      auto nonce = r.read_u64();
-      if (!nonce) return std::nullopt;
-      rc.nonce = nonce.value();
-      auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      rc.entries.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto client_id = r.read_u64();
-        if (!client_id) return std::nullopt;
-        auto seq = r.read_u64();
-        if (!seq) return std::nullopt;
-        rc.entries.emplace_back(client_id.value(), seq.value());
-      }
-      msg.reply_cache = std::move(rc);
-      return msg;
-    }
-  }
-  return std::nullopt;
+  return kDecoders[payload[0] - 1](r);
 }
 
 }  // namespace mead::core

@@ -10,9 +10,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/types.h"
+#include "giop/codec.h"
 #include "giop/messages.h"
 #include "giop/types.h"
 #include "net/types.h"
@@ -30,6 +34,8 @@ struct FailoverMsg {
   net::Endpoint target;  // next non-faulty replica's ORB endpoint
   std::string member;    // its GC member name (diagnostics)
 
+  static constexpr auto kFields =
+      std::tuple{&FailoverMsg::target, &FailoverMsg::member};
   friend bool operator==(const FailoverMsg&, const FailoverMsg&) = default;
 };
 
@@ -74,12 +80,17 @@ struct Announce {
   net::Endpoint endpoint;
   giop::IOR ior;
 
+  static constexpr CtrlKind kKind = CtrlKind::kAnnounce;
+  static constexpr auto kFields =
+      std::tuple{&Announce::member, &Announce::endpoint, &Announce::ior};
   friend bool operator==(const Announce&, const Announce&) = default;
 };
 
 struct Listing {
   Listing() = default;
   std::vector<Announce> entries;
+  static constexpr CtrlKind kKind = CtrlKind::kListing;
+  static constexpr auto kFields = std::tuple{&Listing::entries};
   friend bool operator==(const Listing&, const Listing&) = default;
 };
 
@@ -91,6 +102,9 @@ struct LaunchRequest {
   std::string member;  // the replica anticipating its own failure
   double usage = 0.0;  // resource fraction at trigger time
 
+  static constexpr CtrlKind kKind = CtrlKind::kLaunchRequest;
+  static constexpr auto kFields =
+      std::tuple{&LaunchRequest::member, &LaunchRequest::usage};
   friend bool operator==(const LaunchRequest&, const LaunchRequest&) = default;
 };
 
@@ -102,6 +116,9 @@ struct PrimaryQuery {
   std::uint64_t nonce = 0;  // echoed in the answer; guards against a late
                             // answer to an earlier (timed-out) query being
                             // taken for the current one
+  static constexpr CtrlKind kKind = CtrlKind::kPrimaryQuery;
+  static constexpr auto kFields =
+      std::tuple{&PrimaryQuery::reply_group, &PrimaryQuery::nonce};
   friend bool operator==(const PrimaryQuery&, const PrimaryQuery&) = default;
 };
 
@@ -112,6 +129,10 @@ struct PrimaryAnswer {
   std::string member;
   net::Endpoint endpoint;
   std::uint64_t nonce = 0;
+  static constexpr CtrlKind kKind = CtrlKind::kPrimaryAnswer;
+  static constexpr auto kFields =
+      std::tuple{&PrimaryAnswer::member, &PrimaryAnswer::endpoint,
+                 &PrimaryAnswer::nonce};
   friend bool operator==(const PrimaryAnswer&, const PrimaryAnswer&) = default;
 };
 
@@ -122,6 +143,10 @@ struct StateTransfer {
   std::string member;        // sending primary
   std::uint64_t version = 0; // monotonically increasing snapshot id
   Bytes state;
+  static constexpr CtrlKind kKind = CtrlKind::kState;
+  static constexpr auto kFields =
+      std::tuple{&StateTransfer::member, &StateTransfer::version,
+                 &StateTransfer::state};
   friend bool operator==(const StateTransfer&, const StateTransfer&) = default;
 };
 
@@ -135,11 +160,25 @@ struct ReadSet {
   std::uint64_t version = 0;
   std::string primary;
   std::vector<Announce> entries;
-  /// kQuorumSet only (never written by encode_read_set): member names in
-  /// `entries` that are still catching up — counted for writes, excluded
-  /// from reads until their kCatchupDone arrives.
-  std::vector<std::string> catching_up;
+  static constexpr CtrlKind kKind = CtrlKind::kReadSet;
+  static constexpr auto kFields =
+      std::tuple{&ReadSet::version, &ReadSet::primary, &ReadSet::entries};
   friend bool operator==(const ReadSet&, const ReadSet&) = default;
+};
+
+/// A kQuorum group's serving set: the full read set plus the member names
+/// in it that are still catching up — counted for writes, excluded from
+/// reads until their kCatchupDone arrives. Always published in full.
+struct QuorumSet {
+  QuorumSet() = default;
+  QuorumSet(ReadSet s, std::vector<std::string> c)
+      : set(std::move(s)), catching_up(std::move(c)) {}
+  ReadSet set;
+  std::vector<std::string> catching_up;
+  static constexpr CtrlKind kKind = CtrlKind::kQuorumSet;
+  static constexpr auto kFields =
+      std::tuple{&QuorumSet::set, &QuorumSet::catching_up};
+  friend bool operator==(const QuorumSet&, const QuorumSet&) = default;
 };
 
 /// A read-set update encoded as the difference against `base_version`
@@ -154,6 +193,11 @@ struct ReadSetDelta {
   std::string primary;
   std::vector<std::string> removed;  // member names dropped from the set
   std::vector<Announce> added;       // entries appended to the set
+  static constexpr CtrlKind kKind = CtrlKind::kReadSetDelta;
+  static constexpr auto kFields =
+      std::tuple{&ReadSetDelta::base_version, &ReadSetDelta::version,
+                 &ReadSetDelta::primary, &ReadSetDelta::removed,
+                 &ReadSetDelta::added};
   friend bool operator==(const ReadSetDelta&, const ReadSetDelta&) = default;
 };
 
@@ -166,6 +210,8 @@ struct NodeCrash {
   NodeCrash() = default;
   explicit NodeCrash(std::string h) : host(std::move(h)) {}
   std::string host;
+  static constexpr CtrlKind kKind = CtrlKind::kNodeCrash;
+  static constexpr auto kFields = std::tuple{&NodeCrash::host};
   friend bool operator==(const NodeCrash&, const NodeCrash&) = default;
 };
 
@@ -176,7 +222,10 @@ struct LaunchFailed {
   LaunchFailed() = default;
   LaunchFailed(std::string s, int inc) : service(std::move(s)), incarnation(inc) {}
   std::string service;
-  int incarnation = 0;
+  int incarnation = 0;  // a u32 on the wire
+  static constexpr CtrlKind kKind = CtrlKind::kLaunchFailed;
+  static constexpr auto kFields =
+      std::tuple{&LaunchFailed::service, &LaunchFailed::incarnation};
   friend bool operator==(const LaunchFailed&, const LaunchFailed&) = default;
 };
 
@@ -194,8 +243,16 @@ struct CkptDelta {
   /// Decoded straight into the store's type, so a mirror moves it into its
   /// chain without copying the entries.
   state::Checkpoint checkpoint;
+  static constexpr CtrlKind kKind = CtrlKind::kCkptDelta;
   friend bool operator==(const CkptDelta&, const CkptDelta&) = default;
 };
+
+/// Codec hooks: `value_pad` sits between the checkpoint header and the
+/// entries, and each entry is followed by that many padding bytes, so the
+/// layout is not a plain field list. Decoding skips the padding in place
+/// and reserves no more entries than the frame holds.
+void codec_write(giop::CdrWriter& w, const CkptDelta& m);
+bool codec_read(giop::CdrReader& r, CkptDelta& m);
 
 /// A recovering (or proactively spawned, or gap-detecting) replica asks
 /// the group's primary to send base + deltas + log with this nonce.
@@ -206,6 +263,10 @@ struct CkptRequest {
   std::string member;           // requester
   std::uint64_t nonce = 0;      // echoed by every frame answering this
   std::uint64_t have_epoch = 0; // newest epoch already held (0 = nothing)
+  static constexpr CtrlKind kKind = CtrlKind::kCkptRequest;
+  static constexpr auto kFields =
+      std::tuple{&CkptRequest::member, &CkptRequest::nonce,
+                 &CkptRequest::have_epoch};
   friend bool operator==(const CkptRequest&, const CkptRequest&) = default;
 };
 
@@ -219,6 +280,10 @@ struct LogReplay {
   std::uint64_t applied = 0;
   std::uint64_t digest = 0;
   std::vector<std::uint64_t> entries;  // request seqs, ascending
+  static constexpr CtrlKind kKind = CtrlKind::kLogReplay;
+  static constexpr auto kFields =
+      std::tuple{&LogReplay::member, &LogReplay::nonce, &LogReplay::applied,
+                 &LogReplay::digest, &LogReplay::entries};
   friend bool operator==(const LogReplay&, const LogReplay&) = default;
 };
 
@@ -232,6 +297,9 @@ struct ReadSetNack {
       : service(std::move(s)), have_version(v) {}
   std::string service;
   std::uint64_t have_version = 0;  // subscriber's last-applied version
+  static constexpr CtrlKind kKind = CtrlKind::kReadSetNack;
+  static constexpr auto kFields =
+      std::tuple{&ReadSetNack::service, &ReadSetNack::have_version};
   friend bool operator==(const ReadSetNack&, const ReadSetNack&) = default;
 };
 
@@ -245,6 +313,9 @@ struct AliveEpoch {
   AliveEpoch() = default;
   std::uint64_t epoch = 0;
   std::vector<std::string> alive;  // sorted ascending, duplicate-free
+  static constexpr CtrlKind kKind = CtrlKind::kAliveEpoch;
+  static constexpr auto kFields =
+      std::tuple{&AliveEpoch::epoch, &AliveEpoch::alive};
   friend bool operator==(const AliveEpoch&, const AliveEpoch&) = default;
 };
 
@@ -254,6 +325,8 @@ struct NodeJoin {
   NodeJoin() = default;
   explicit NodeJoin(std::string h) : host(std::move(h)) {}
   std::string host;
+  static constexpr CtrlKind kKind = CtrlKind::kNodeJoin;
+  static constexpr auto kFields = std::tuple{&NodeJoin::host};
   friend bool operator==(const NodeJoin&, const NodeJoin&) = default;
 };
 
@@ -266,6 +339,9 @@ struct Retire {
       : service(std::move(s)), member(std::move(m)) {}
   std::string service;
   std::string member;
+  static constexpr CtrlKind kKind = CtrlKind::kRetire;
+  static constexpr auto kFields =
+      std::tuple{&Retire::service, &Retire::member};
   friend bool operator==(const Retire&, const Retire&) = default;
 };
 
@@ -280,6 +356,10 @@ struct UsageReport {
   std::string member;
   double usage = 0.0;        // resource fraction of capacity
   std::uint64_t at_ms = 0;   // sender's sim-time sample stamp, milliseconds
+  static constexpr CtrlKind kKind = CtrlKind::kUsageReport;
+  static constexpr auto kFields =
+      std::tuple{&UsageReport::member, &UsageReport::usage,
+                 &UsageReport::at_ms};
   friend bool operator==(const UsageReport&, const UsageReport&) = default;
 };
 
@@ -295,6 +375,9 @@ struct Handoff {
   std::string service;
   std::string victim;
   std::string successor;
+  static constexpr CtrlKind kKind = CtrlKind::kHandoff;
+  static constexpr auto kFields =
+      std::tuple{&Handoff::service, &Handoff::victim, &Handoff::successor};
   friend bool operator==(const Handoff&, const Handoff&) = default;
 };
 
@@ -307,6 +390,9 @@ struct CatchupDone {
       : service(std::move(s)), member(std::move(m)) {}
   std::string service;
   std::string member;
+  static constexpr CtrlKind kKind = CtrlKind::kCatchupDone;
+  static constexpr auto kFields =
+      std::tuple{&CatchupDone::service, &CatchupDone::member};
   friend bool operator==(const CatchupDone&, const CatchupDone&) = default;
 };
 
@@ -319,66 +405,53 @@ struct ReplyCache {
   std::string member;       // sending primary
   std::uint64_t nonce = 0;  // 0 = periodic; else echoes a CkptRequest
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  static constexpr CtrlKind kKind = CtrlKind::kReplyCache;
+  static constexpr auto kFields =
+      std::tuple{&ReplyCache::member, &ReplyCache::nonce,
+                 &ReplyCache::entries};
   friend bool operator==(const ReplyCache&, const ReplyCache&) = default;
 };
 
-Bytes encode_announce(const Announce& m);
-Bytes encode_read_set(const ReadSet& m);
-Bytes encode_read_set_delta(const ReadSetDelta& m);
-Bytes encode_listing(const Listing& m);
-Bytes encode_launch_request(const LaunchRequest& m);
-Bytes encode_primary_query(const PrimaryQuery& m);
-Bytes encode_primary_answer(const PrimaryAnswer& m);
-Bytes encode_state(const StateTransfer& m);
-Bytes encode_node_crash(const NodeCrash& m);
-Bytes encode_launch_failed(const LaunchFailed& m);
+/// Parsed control payload: one alternative per CtrlKind, in kind order.
+using CtrlMsg =
+    std::variant<Announce, Listing, LaunchRequest, PrimaryQuery, PrimaryAnswer,
+                 StateTransfer, ReadSet, NodeCrash, LaunchFailed, ReadSetDelta,
+                 CkptDelta, CkptRequest, LogReplay, ReadSetNack, AliveEpoch,
+                 NodeJoin, Retire, UsageReport, Handoff, QuorumSet,
+                 CatchupDone, ReplyCache>;
+
+namespace detail {
+template <std::size_t... I>
+constexpr bool kinds_match_indices(std::index_sequence<I...>) {
+  return ((static_cast<std::size_t>(
+               std::variant_alternative_t<I, CtrlMsg>::kKind) == I + 1) &&
+          ...);
+}
+}  // namespace detail
+static_assert(detail::kinds_match_indices(
+                  std::make_index_sequence<std::variant_size_v<CtrlMsg>>{}),
+              "CtrlMsg alternative i must carry CtrlKind i + 1");
+
+[[nodiscard]] inline CtrlKind kind_of(const CtrlMsg& m) {
+  return static_cast<CtrlKind>(m.index() + 1);
+}
+
+/// A control payload: the kind byte, then the message's CDR body (its
+/// alignment relative to the body's first byte), written in one pass.
+template <typename T>
+Bytes encode_ctrl(const T& m) {
+  giop::CdrWriter w = giop::CdrWriter::with_prefix(1);
+  w.reserve(1 + giop::size_hint(m));
+  giop::encode(w, m);
+  Bytes out = w.take();
+  out[0] = static_cast<std::uint8_t>(T::kKind);
+  return out;
+}
+
 /// Encodes a stored checkpoint as `member`'s kCkptDelta without building a
-/// CkptDelta (no copy of the entries).
+/// CkptDelta (no copy of the entries); same bytes as encode_ctrl(CkptDelta).
 Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
                         std::uint32_t value_pad, const state::Checkpoint& c);
-inline Bytes encode_ckpt_delta(const CkptDelta& m) {
-  return encode_ckpt_delta(m.member, m.nonce, m.value_pad, m.checkpoint);
-}
-Bytes encode_ckpt_request(const CkptRequest& m);
-Bytes encode_log_replay(const LogReplay& m);
-Bytes encode_read_set_nack(const ReadSetNack& m);
-Bytes encode_alive_epoch(const AliveEpoch& m);
-Bytes encode_node_join(const NodeJoin& m);
-Bytes encode_retire(const Retire& m);
-Bytes encode_usage_report(const UsageReport& m);
-Bytes encode_handoff(const Handoff& m);
-/// Writes `m` including catching_up under kQuorumSet; decode fills
-/// CtrlMsg::read_set (kind == kQuorumSet) so subscribers share one path.
-Bytes encode_quorum_set(const ReadSet& m);
-Bytes encode_catchup_done(const CatchupDone& m);
-Bytes encode_reply_cache(const ReplyCache& m);
-
-/// Parsed control payload.
-struct CtrlMsg {
-  CtrlKind kind = CtrlKind::kAnnounce;
-  std::optional<Announce> announce;       // kAnnounce
-  std::optional<Listing> listing;         // kListing
-  std::optional<LaunchRequest> launch;    // kLaunchRequest
-  std::optional<PrimaryQuery> query;      // kPrimaryQuery
-  std::optional<PrimaryAnswer> answer;    // kPrimaryAnswer
-  std::optional<StateTransfer> state;     // kState
-  std::optional<ReadSet> read_set;        // kReadSet
-  std::optional<ReadSetDelta> read_set_delta;  // kReadSetDelta
-  std::optional<NodeCrash> node_crash;    // kNodeCrash
-  std::optional<LaunchFailed> launch_failed;  // kLaunchFailed
-  std::optional<CkptDelta> ckpt_delta;    // kCkptDelta
-  std::optional<CkptRequest> ckpt_request;  // kCkptRequest
-  std::optional<LogReplay> log_replay;    // kLogReplay
-  std::optional<ReadSetNack> read_set_nack;  // kReadSetNack
-  std::optional<AliveEpoch> alive_epoch;  // kAliveEpoch
-  std::optional<NodeJoin> node_join;      // kNodeJoin
-  std::optional<Retire> retire;           // kRetire
-  std::optional<UsageReport> usage_report;  // kUsageReport
-  std::optional<Handoff> handoff;         // kHandoff
-  // kQuorumSet reuses `read_set` (kind distinguishes; catching_up filled).
-  std::optional<CatchupDone> catchup_done;  // kCatchupDone
-  std::optional<ReplyCache> reply_cache;  // kReplyCache
-};
 
 /// The kind byte of a control payload, without decoding the body; nullopt
 /// for an empty payload. Subscribers use it to drop kinds they ignore (a

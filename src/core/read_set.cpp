@@ -27,17 +27,14 @@ sim::Task<void> ReadSetSubscriber::pump() {
     if (event.group != read_set_group(service_)) continue;
     auto ctrl = decode_ctrl(event.payload);
     if (!ctrl) continue;
-    if ((ctrl->kind == CtrlKind::kReadSet ||
-         ctrl->kind == CtrlKind::kQuorumSet) &&
-        ctrl->read_set) {
-      // kQuorumSet is a full set that additionally carries the
-      // catching_up flags; decode fills the same CtrlMsg::read_set slot,
-      // so both kinds share the monotone-version full-update path.
-      if (ctrl->read_set->version <= last_version_) continue;  // stale
-      apply_full(*ctrl->read_set);
-    } else if (ctrl->kind == CtrlKind::kReadSetDelta && ctrl->read_set_delta) {
-      if (ctrl->read_set_delta->version <= last_version_) continue;  // stale
-      if (ctrl->read_set_delta->base_version != last_version_) {
+    if (auto* rs = std::get_if<ReadSet>(&*ctrl)) {
+      apply_full(std::move(*rs), {});
+    } else if (auto* qs = std::get_if<QuorumSet>(&*ctrl)) {
+      // A full set that additionally flags its catching-up members.
+      apply_full(std::move(qs->set), std::move(qs->catching_up));
+    } else if (const auto* d = std::get_if<ReadSetDelta>(&*ctrl)) {
+      if (d->version <= last_version_) continue;  // stale
+      if (d->base_version != last_version_) {
         // We missed the base this delta builds on; applying it would
         // corrupt the set. Ask the RM for a full republication instead of
         // waiting for the next membership change — under a healed
@@ -45,13 +42,13 @@ sim::Task<void> ReadSetSubscriber::pump() {
         // detected gap: later deltas over the same hole stay quiet.
         ++deltas_gapped_;
         proc_.sim().obs().metrics().counter("readset.gaps").add();
-        if (ctrl->read_set_delta->version > last_nacked_version_) {
-          last_nacked_version_ = ctrl->read_set_delta->version;
+        if (d->version > last_nacked_version_) {
+          last_nacked_version_ = d->version;
           proc_.sim().spawn(send_nack());
         }
         continue;
       }
-      apply_delta(*ctrl->read_set_delta);
+      apply_delta(*d);
     }
   }
 }
@@ -61,14 +58,17 @@ sim::Task<void> ReadSetSubscriber::send_nack() {
   proc_.sim().obs().metrics().counter("readset.nacks").add();
   (void)co_await gc_->multicast(
       read_set_group(service_),
-      encode_read_set_nack(ReadSetNack{service_, last_version_}));
+      encode_ctrl(ReadSetNack{service_, last_version_}));
 }
 
-void ReadSetSubscriber::apply_full(const ReadSet& rs) {
-  current_ = rs;
-  last_version_ = rs.version;
+void ReadSetSubscriber::apply_full(ReadSet rs,
+                                   std::vector<std::string> catching_up) {
+  if (rs.version <= last_version_) return;  // stale
+  current_ = std::move(rs);
+  catching_up_ = std::move(catching_up);
+  last_version_ = current_.version;
   ++applied_;
-  if (cb_) cb_(current_);
+  if (cb_) cb_(current_, catching_up_);
 }
 
 void ReadSetSubscriber::apply_delta(const ReadSetDelta& d) {
@@ -84,7 +84,7 @@ void ReadSetSubscriber::apply_delta(const ReadSetDelta& d) {
   last_version_ = d.version;
   ++applied_;
   ++deltas_applied_;
-  if (cb_) cb_(current_);
+  if (cb_) cb_(current_, catching_up_);
 }
 
 }  // namespace mead::core

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "core/mead_wire.h"
@@ -23,7 +24,10 @@ namespace mead::core {
 
 class ReadSetSubscriber {
  public:
-  using Callback = std::function<void(const ReadSet&)>;
+  /// Receives the current set and the members in it still catching up
+  /// (non-empty only under kQuorum).
+  using Callback = std::function<void(
+      const ReadSet&, const std::vector<std::string>& catching_up)>;
 
   /// `member` must be unique across the system (convention: the owning
   /// client's member name + "/rs").
@@ -46,7 +50,8 @@ class ReadSetSubscriber {
  private:
   sim::Task<void> pump();
   sim::Task<void> send_nack();
-  void apply_full(const ReadSet& rs);
+  /// Adopts a full kReadSet / kQuorumSet unless its version is stale.
+  void apply_full(ReadSet rs, std::vector<std::string> catching_up);
   void apply_delta(const ReadSetDelta& d);
 
   net::Process& proc_;
@@ -55,6 +60,7 @@ class ReadSetSubscriber {
   std::unique_ptr<gc::GcClient> gc_;
   /// The set as of last_version_, kept so deltas can be applied locally.
   ReadSet current_;
+  std::vector<std::string> catching_up_;
   std::uint64_t last_version_ = 0;
   std::uint64_t applied_ = 0;
   std::uint64_t deltas_applied_ = 0;

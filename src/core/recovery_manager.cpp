@@ -10,8 +10,7 @@ namespace mead::core {
 RecoveryManager::RecoveryManager(net::ProcessPtr proc,
                                  RecoveryManagerConfig cfg, Factory factory)
     : proc_(std::move(proc)), cfg_(std::move(cfg)), factory_(std::move(factory)),
-      core_(cfg_.groups, cfg_.member, cfg_.self_supervise,
-            cfg_.readmit_retired),
+      core_(cfg_.groups, cfg_.member, cfg_.self_supervise, cfg_.readmit),
       launches_(proc_->sim().obs().metrics().counter("rm.launches")),
       proactive_launches_(
           proc_->sim().obs().metrics().counter("rm.proactive_launches")),
@@ -105,10 +104,11 @@ sim::Task<void> RecoveryManager::pump() {
     if (was_acting && event.kind == gc::Event::Kind::kMessage &&
         core_.is_control_group(event.group)) {
       auto ctrl = decode_ctrl(event.payload);
-      if (ctrl && ctrl->kind == CtrlKind::kLaunchRequest && ctrl->launch) {
+      if (const auto* launch =
+              ctrl ? std::get_if<LaunchRequest>(&*ctrl) : nullptr) {
         LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
-            << "launch request from " << ctrl->launch->member << " at usage "
-            << ctrl->launch->usage;
+            << "launch request from " << launch->member << " at usage "
+            << launch->usage;
       }
     }
     // Only an rm_group() view can promote this replica; snapshot the slots
@@ -130,7 +130,7 @@ sim::Task<void> RecoveryManager::pump() {
           << "retired; requesting readmission snapshot";
       proc_->sim().spawn(multicast_task(
           rm_group(),
-          encode_ckpt_request(CkptRequest{cfg_.member, a.nonce, 0})));
+          encode_ctrl(CkptRequest{cfg_.member, a.nonce, 0})));
     }
     if (core_.readmissions() > readmissions_seen_) {
       readmissions_seen_ = core_.readmissions();
@@ -182,8 +182,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         // the total order; it travels as a kState frame whose version
         // echoes the requester's nonce.
         proc_->sim().spawn(multicast_task(
-            rm_group(), encode_state(StateTransfer{cfg_.member, a.nonce,
-                                                   a.snapshot})));
+            rm_group(),
+            encode_ctrl(StateTransfer{cfg_.member, a.nonce, a.snapshot})));
         break;
       case RmAction::Kind::kPublishReadSet: {
         if (a.nack && count) {
@@ -209,8 +209,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
                      t.style == ReplicationStyle::kQuorum;
             });
         if (quorum) {
-          proc_->sim().spawn(
-              multicast_task(a.group, encode_quorum_set(a.read_set)));
+          proc_->sim().spawn(multicast_task(
+              a.group, encode_ctrl(QuorumSet{a.read_set, a.catching_up})));
           break;
         }
         const bool delta = cfg_.delta_read_sets && a.have_delta && !a.republish;
@@ -218,8 +218,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
           proc_->sim().obs().metrics().counter("rm.readset.deltas").add();
         }
         proc_->sim().spawn(multicast_task(
-            a.group, delta ? encode_read_set_delta(a.read_set_delta)
-                           : encode_read_set(a.read_set)));
+            a.group, delta ? encode_ctrl(a.read_set_delta)
+                           : encode_ctrl(a.read_set)));
         break;
       }
       case RmAction::Kind::kPlanMigration:
@@ -247,7 +247,7 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         }
         proc_->sim().spawn(multicast_task(
             control_group(a.service),
-            encode_handoff(Handoff{a.service, a.member, a.successor})));
+            encode_ctrl(Handoff{a.service, a.member, a.successor})));
         break;
       case RmAction::Kind::kPublishAliveEpoch:
         // The whole of the RM's per-failure placement traffic under
@@ -259,7 +259,7 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         }
         if (cfg_.self_supervise) {
           proc_->sim().spawn(multicast_task(
-              rm_group(), encode_alive_epoch(a.alive)));
+              rm_group(), encode_ctrl(a.alive)));
         }
         break;
       case RmAction::Kind::kRetireReplica:
@@ -267,8 +267,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
             << "rebalance: retiring " << a.member << " of " << a.service;
         proc_->sim().spawn(multicast_task(
-            control_group(a.service), encode_retire(Retire{a.service,
-                                                           a.member})));
+            control_group(a.service),
+            encode_ctrl(Retire{a.service, a.member})));
         break;
     }
   }
@@ -320,7 +320,7 @@ sim::Task<void> RecoveryManager::launch_task(std::string service,
       execute(actions, /*count=*/true);
     } else {
       proc_->sim().spawn(multicast_task(
-          rm_group(), encode_launch_failed(LaunchFailed{service, incarnation})));
+          rm_group(), encode_ctrl(LaunchFailed{service, incarnation})));
     }
   }
 }
@@ -338,7 +338,7 @@ void RecoveryManager::on_join_observed(const std::string& host) {
     return;
   }
   proc_->sim().spawn(
-      multicast_task(rm_group(), encode_node_join(NodeJoin{host})));
+      multicast_task(rm_group(), encode_ctrl(NodeJoin{host})));
 }
 
 void RecoveryManager::on_crash_observed(const std::string& host) {
@@ -352,7 +352,7 @@ void RecoveryManager::on_crash_observed(const std::string& host) {
   // replica reports what it sees — the application is idempotent, and the
   // frame must survive any single manager's death.
   proc_->sim().spawn(
-      multicast_task(rm_group(), encode_node_crash(NodeCrash{host})));
+      multicast_task(rm_group(), encode_ctrl(NodeCrash{host})));
 }
 
 }  // namespace mead::core

@@ -69,7 +69,7 @@ struct RecoveryManagerConfig {
   /// request's position in the total order + buffered-suffix replay)
   /// instead of retiring permanently. Default off: permanent fail-stop
   /// retirement is the historical behavior.
-  bool readmit_retired = false;
+  bool readmit = false;
 };
 
 class RecoveryManager {
@@ -118,10 +118,10 @@ class RecoveryManager {
   /// Times this replica was promoted from backup to acting.
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   /// True while this replica is retired (expelled-and-rejoined with
-  /// possibly-diverged state and, without readmit_retired, out for good).
+  /// possibly-diverged state and, without readmit, out for good).
   [[nodiscard]] bool retired() const { return core_.retired(); }
   /// Times this replica's retired core restored acting state and rejoined
-  /// as a converged backup (readmit_retired only).
+  /// as a converged backup (readmit only).
   [[nodiscard]] std::uint64_t readmissions() const {
     return core_.readmissions();
   }

@@ -95,54 +95,20 @@ std::vector<ReplicaRegistry::Record> ReplicaRegistry::listed() const {
   return out;
 }
 
-void ReplicaRegistry::encode(giop::CdrWriter& w) const {
-  w.write_u64(view_.view_id);
-  w.write_u32(static_cast<std::uint32_t>(view_.members.size()));
-  for (const auto& m : view_.members) w.write_string(m);
-  w.write_u32(static_cast<std::uint32_t>(announced_.size()));
-  for (const auto& [name, rec] : announced_) {
-    w.write_string(rec.member);
-    w.write_string(rec.endpoint.host);
-    w.write_u16(rec.endpoint.port);
-    giop::encode_ior(w, rec.ior);
-  }
+void codec_write(giop::CdrWriter& w, const ReplicaRegistry& reg) {
+  giop::encode(w, reg.view_);
+  w.write_u32(static_cast<std::uint32_t>(reg.announced_.size()));
+  for (const auto& [name, rec] : reg.announced_) giop::encode(w, rec);
 }
 
-bool ReplicaRegistry::decode(giop::CdrReader& r) {
-  auto view_id = r.read_u64();
-  if (!view_id) return false;
-  auto member_count = r.read_u32();
-  if (!member_count) return false;
-  gc::View view;
-  view.view_id = *view_id;
-  view.members.reserve(*member_count);
-  for (std::uint32_t i = 0; i < *member_count; ++i) {
-    auto m = r.read_string();
-    if (!m) return false;
-    view.members.push_back(std::move(*m));
-  }
-  auto announced_count = r.read_u32();
-  if (!announced_count) return false;
-  std::map<std::string, Record> announced;
-  for (std::uint32_t i = 0; i < *announced_count; ++i) {
-    Record rec;
-    auto member = r.read_string();
-    if (!member) return false;
-    rec.member = std::move(*member);
-    auto host = r.read_string();
-    if (!host) return false;
-    rec.endpoint.host = std::move(*host);
-    auto port = r.read_u16();
-    if (!port) return false;
-    rec.endpoint.port = *port;
-    auto ior = giop::decode_ior(r);
-    if (!ior) return false;
-    rec.ior = std::move(*ior);
+bool codec_read(giop::CdrReader& r, ReplicaRegistry& reg) {
+  std::vector<ReplicaRegistry::Record> records;
+  if (!giop::decode(r, reg.view_) || !giop::decode(r, records)) return false;
+  reg.announced_.clear();
+  for (auto& rec : records) {
     std::string key = rec.member;
-    announced[std::move(key)] = std::move(rec);
+    reg.announced_[std::move(key)] = std::move(rec);
   }
-  view_ = std::move(view);
-  announced_ = std::move(announced);
   return true;
 }
 

@@ -12,11 +12,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/mead_wire.h"
 #include "gc/view.h"
-#include "giop/cdr.h"
+#include "giop/codec.h"
 
 namespace mead::core {
 
@@ -27,6 +28,8 @@ class ReplicaRegistry {
     std::string member;
     net::Endpoint endpoint;
     giop::IOR ior;
+    static constexpr auto kFields =
+        std::tuple{&Record::member, &Record::endpoint, &Record::ior};
   };
 
   /// Applies a membership view of the replica group. Members without an
@@ -69,11 +72,11 @@ class ReplicaRegistry {
   [[nodiscard]] std::vector<Record> read_set(
       const std::set<std::string>& excluded) const;
 
-  /// Snapshot serialization (view + announced records), used by the
-  /// replicated Recovery Manager's re-admission state transfer. decode()
-  /// replaces this registry's whole contents; false leaves it unspecified.
-  void encode(giop::CdrWriter& w) const;
-  [[nodiscard]] bool decode(giop::CdrReader& r);
+  /// Codec hooks (giop/codec.h): the view and the announced records, for
+  /// the replicated Recovery Manager's re-admission state transfer.
+  /// Reading replaces the whole contents; false leaves them unspecified.
+  friend void codec_write(giop::CdrWriter& w, const ReplicaRegistry& reg);
+  friend bool codec_read(giop::CdrReader& r, ReplicaRegistry& reg);
 
  private:
   gc::View view_;

@@ -143,9 +143,9 @@ RmCore::Actions RmCore::on_event(const gc::Event& event) {
     // that state as of the request position and the buffer replays on top.
     if (event.kind == gc::Event::Kind::kMessage && event.group == rm_group()) {
       auto ctrl = decode_ctrl(event.payload);
-      if (ctrl && ctrl->kind == CtrlKind::kState && ctrl->state &&
-          ctrl->state->version == readmit_nonce_) {
-        if (install_snapshot(ctrl->state->state)) {
+      const auto* st = ctrl ? std::get_if<StateTransfer>(&*ctrl) : nullptr;
+      if (st != nullptr && st->version == readmit_nonce_) {
+        if (install_snapshot(st->state)) {
           retired_ = false;
           ++readmissions_;
         }
@@ -186,6 +186,7 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
       a.service = rs->second->target.service;
       a.group = event.group;
       a.read_set = rs->second->read_set;
+      a.catching_up = rs->second->catching_up;
       a.republish = true;
       out.push_back(std::move(a));
     }
@@ -197,44 +198,42 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
   if (replicated_ && event.group == rm_group()) {
     // Replicated observations: every RmCore applies them at the same
     // position in the total order, so placement and slot accounting agree.
-    if (ctrl->kind == CtrlKind::kNodeCrash && ctrl->node_crash) {
-      apply_node_crash(ctrl->node_crash->host, out);
-    } else if (ctrl->kind == CtrlKind::kNodeJoin && ctrl->node_join) {
-      apply_node_join(ctrl->node_join->host, out);
-    } else if (ctrl->kind == CtrlKind::kAliveEpoch && ctrl->alive_epoch) {
+    if (const auto* m = std::get_if<NodeCrash>(&*ctrl)) {
+      apply_node_crash(m->host, out);
+    } else if (const auto* m = std::get_if<NodeJoin>(&*ctrl)) {
+      apply_node_join(m->host, out);
+    } else if (const auto* m = std::get_if<AliveEpoch>(&*ctrl)) {
       // Converged replicas already hold this epoch (they applied the same
       // crash/join at the same ordered position); only a replica that
       // missed those positions — a late-started or readmitted backup —
       // adopts the published set.
-      if (ctrl->alive_epoch->epoch > alive_epoch_) {
-        alive_epoch_ = ctrl->alive_epoch->epoch;
-        alive_hosts_ = ctrl->alive_epoch->alive;
+      if (m->epoch > alive_epoch_) {
+        alive_epoch_ = m->epoch;
+        alive_hosts_ = m->alive;
       }
-    } else if (ctrl->kind == CtrlKind::kLaunchFailed && ctrl->launch_failed) {
-      apply_launch_failed(ctrl->launch_failed->service,
-                          ctrl->launch_failed->incarnation, out);
-    } else if (ctrl->kind == CtrlKind::kCkptRequest && ctrl->ckpt_request) {
-      const auto& req = *ctrl->ckpt_request;
-      if (req.member == self_ && req.nonce != 0 &&
-          req.nonce == readmit_nonce_) {
+    } else if (const auto* m = std::get_if<LaunchFailed>(&*ctrl)) {
+      apply_launch_failed(m->service, m->incarnation, out);
+    } else if (const auto* req = std::get_if<CkptRequest>(&*ctrl)) {
+      if (req->member == self_ && req->nonce != 0 &&
+          req->nonce == readmit_nonce_) {
         // Our own readmission request: this position in the total order is
         // the snapshot point. Buffer from here until the answer lands.
         readmit_anchor_seen_ = true;
         readmit_buffer_.clear();
-      } else if (req.member != self_ && req.nonce != 0 && acting()) {
+      } else if (req->member != self_ && req->nonce != 0 && acting()) {
         // A retired replica asks for state. Freeze the snapshot at this
         // exact position — every core that stayed has identical state
         // here, so the requester converges once it installs and replays.
         RmAction a;
         a.kind = RmAction::Kind::kSendRmSnapshot;
-        a.nonce = req.nonce;
+        a.nonce = req->nonce;
         a.snapshot = encode_snapshot();
         out.push_back(std::move(a));
       }
     }
     return;
   }
-  if (ctrl->kind == CtrlKind::kLaunchRequest) {
+  if (const auto* launch = std::get_if<LaunchRequest>(&*ctrl)) {
     // Launch requests arrive on the doomed group's own control group; the
     // event's group key routes them, so identical member names in two
     // groups stay unambiguous.
@@ -246,24 +245,24 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
     // the plan is cancelled (the victim stays doomed, the pre-warmed
     // standby becomes its ordinary replacement) and no handoff travels.
     // Exactly one of {migration, reactive recovery} rotates the group.
-    if (!group.handoff_sent && group.migrate_victim == ctrl->launch->member) {
+    if (!group.handoff_sent && group.migrate_victim == launch->member) {
       group.migrate_victim.clear();
     }
-    group.doomed.insert(ctrl->launch->member);
+    group.doomed.insert(launch->member);
     reconcile(group, /*proactive_trigger=*/true, out);
     // A doomed replica leaves the read set immediately — clients must
     // stop routing reads at it before it rejuvenates.
     refresh_read_set(group, out);
     return;
   }
-  if (ctrl->kind == CtrlKind::kUsageReport && ctrl->usage_report) {
+  if (const auto* report = std::get_if<UsageReport>(&*ctrl)) {
     auto it = by_control_group_.find(event.group);
     if (it != by_control_group_.end()) {
-      plan_migration(*it->second, *ctrl->usage_report, out);
+      plan_migration(*it->second, *report, out);
     }
     return;
   }
-  if (ctrl->kind == CtrlKind::kReadSetNack && ctrl->read_set_nack) {
+  if (std::holds_alternative<ReadSetNack>(*ctrl)) {
     // A subscriber saw a delta whose base it does not hold (a dropped
     // frame, e.g. under a partition): answer with the full current set.
     auto rs = by_readset_group_.find(event.group);
@@ -273,30 +272,31 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
       a.service = rs->second->target.service;
       a.group = event.group;
       a.read_set = rs->second->read_set;
+      a.catching_up = rs->second->catching_up;
       a.republish = true;
       a.nack = true;
       out.push_back(std::move(a));
     }
     return;
   }
-  if (ctrl->kind == CtrlKind::kCkptRequest && ctrl->ckpt_request) {
+  if (const auto* req = std::get_if<CkptRequest>(&*ctrl)) {
     // A directed restore opening on a stateful group's ckpt channel: the
     // member is mid-restore until it announces (or leaves the view).
     auto ck = by_ckpt_group_.find(event.group);
-    if (ck != by_ckpt_group_.end() && ctrl->ckpt_request->nonce != 0) {
-      ck->second->restoring.insert(ctrl->ckpt_request->member);
+    if (ck != by_ckpt_group_.end() && req->nonce != 0) {
+      ck->second->restoring.insert(req->member);
       // An already-serving member that reopened a restore (gap recovery)
       // must leave the fanout read rotation / gain its catching_up flag.
       refresh_read_set(*ck->second, out);
     }
     return;
   }
-  if (ctrl->kind == CtrlKind::kCatchupDone && ctrl->catchup_done) {
+  if (const auto* done = std::get_if<CatchupDone>(&*ctrl)) {
     // A kQuorum replica finished replaying while serving: clear its
     // catching_up flag at this total-order position and republish.
     auto ck = by_ckpt_group_.find(event.group);
     if (ck != by_ckpt_group_.end() &&
-        ck->second->restoring.erase(ctrl->catchup_done->member) > 0) {
+        ck->second->restoring.erase(done->member) > 0) {
       refresh_read_set(*ck->second, out);
     }
     return;
@@ -305,22 +305,22 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
   // group's registry (endpoint bookkeeping only; no launch decisions).
   auto it = by_replica_group_.find(event.group);
   if (it == by_replica_group_.end()) return;
-  if (ctrl->kind == CtrlKind::kAnnounce && ctrl->announce) {
+  if (const auto* ann = std::get_if<Announce>(&*ctrl)) {
     Group& group = *it->second;
-    group.reserved.erase(ctrl->announce->endpoint.host);
+    group.reserved.erase(ann->endpoint.host);
     if (group.target.style != ReplicationStyle::kQuorum) {
       // kQuorum replicas announce while still catching up; only their
       // ordered kCatchupDone (or view departure) closes the handshake.
-      group.restoring.erase(ctrl->announce->member);
+      group.restoring.erase(ann->member);
     }
-    const bool fresh = !group.registry.find(ctrl->announce->member);
-    group.registry.on_announce(*ctrl->announce);
+    const bool fresh = !group.registry.find(ann->member);
+    group.registry.on_announce(*ann);
     // The pre-warmed standby of a planned rotation just announced: order
     // the atomic handoff. Every replicated core flips handoff_sent at this
     // same position; only the acting shell multicasts the frame.
     if (fresh && !group.migrate_victim.empty() && !group.handoff_sent &&
-        ctrl->announce->member != group.migrate_victim) {
-      group.migrate_successor = ctrl->announce->member;
+        ann->member != group.migrate_victim) {
+      group.migrate_successor = ann->member;
       group.handoff_sent = true;
       RmAction a;
       a.kind = RmAction::Kind::kHandoff;
@@ -330,8 +330,8 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
       out.push_back(std::move(a));
     }
     refresh_read_set(group, out);
-  } else if (ctrl->kind == CtrlKind::kListing && ctrl->listing) {
-    it->second->registry.on_listing(*ctrl->listing);
+  } else if (const auto* listing = std::get_if<Listing>(&*ctrl)) {
+    it->second->registry.on_listing(*listing);
     refresh_read_set(*it->second, out);
   }
 }
@@ -513,16 +513,15 @@ void RmCore::refresh_read_set(Group& group, Actions& out) {
     next.entries.emplace_back(std::move(r.member), std::move(r.endpoint),
                               std::move(r.ior));
   }
+  std::vector<std::string> catching_up;
   if (quorum) {
     for (const auto& e : next.entries) {
-      if (group.restoring.contains(e.member)) {
-        next.catching_up.push_back(e.member);
-      }
+      if (group.restoring.contains(e.member)) catching_up.push_back(e.member);
     }
   }
   if (next.primary == group.read_set.primary &&
       next.entries == group.read_set.entries &&
-      next.catching_up == group.read_set.catching_up) {
+      catching_up == group.catching_up) {
     return;
   }
   next.version = group.read_set.version + 1;
@@ -551,7 +550,9 @@ void RmCore::refresh_read_set(Group& group, Actions& out) {
   }
   a.have_delta = true;
   group.read_set = std::move(next);
+  group.catching_up = std::move(catching_up);
   a.read_set = group.read_set;
+  a.catching_up = group.catching_up;
   out.push_back(std::move(a));
 }
 
@@ -610,211 +611,42 @@ void RmCore::plan_migration(Group& group, const UsageReport& report,
   refresh_read_set(group, out);
 }
 
-namespace {
-
-void write_string_set(giop::CdrWriter& w, const std::set<std::string>& s) {
-  w.write_u32(static_cast<std::uint32_t>(s.size()));
-  for (const auto& e : s) w.write_string(e);
-}
-
-bool read_string_set(giop::CdrReader& r, std::set<std::string>& out) {
-  auto n = r.read_u32();
-  if (!n) return false;
-  out.clear();
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto e = r.read_string();
-    if (!e) return false;
-    out.insert(std::move(*e));
-  }
-  return true;
-}
-
-}  // namespace
-
 Bytes RmCore::encode_snapshot() const {
   giop::CdrWriter w;
-  write_string_set(w, dead_hosts_);
-  w.write_u64(alive_epoch_);
-  w.write_u32(static_cast<std::uint32_t>(alive_hosts_.size()));
-  for (const auto& h : alive_hosts_) w.write_string(h);
-  w.write_u64(totals_.launches);
-  w.write_u64(totals_.proactive_launches);
-  w.write_u64(totals_.reactive_launches);
-  w.write_u64(totals_.migrations);
+  giop::encode(w, dead_hosts_);
+  giop::encode(w, alive_epoch_);
+  giop::encode(w, alive_hosts_);
+  giop::encode(w, totals_);
   w.write_u32(static_cast<std::uint32_t>(groups_.size()));
-  for (const auto& g : groups_) {
-    g->registry.encode(w);
-    write_string_set(w, g->doomed);
-    w.write_u32(static_cast<std::uint32_t>(g->pending.size()));
-    for (const auto& slot : g->pending) {
-      w.write_i32(slot.incarnation);
-      w.write_string(slot.host);
-      w.write_bool(slot.proactive);
-      w.write_bool(slot.restriped);
-      w.write_bool(slot.algorithmic);
-    }
-    w.write_i32(g->next_incarnation);
-    w.write_u64(g->stats.launches);
-    w.write_u64(g->stats.proactive_launches);
-    w.write_u64(g->stats.reactive_launches);
-    w.write_u64(g->stats.migrations);
-    write_string_set(w, g->reserved);
-    write_string_set(w, g->restoring);
-    w.write_u64(g->read_set.version);
-    w.write_string(g->read_set.primary);
-    w.write_u32(static_cast<std::uint32_t>(g->read_set.entries.size()));
-    for (const auto& e : g->read_set.entries) {
-      w.write_string(e.member);
-      w.write_string(e.endpoint.host);
-      w.write_u16(e.endpoint.port);
-      giop::encode_ior(w, e.ior);
-    }
-    w.write_u32(static_cast<std::uint32_t>(g->read_set.catching_up.size()));
-    for (const auto& m : g->read_set.catching_up) w.write_string(m);
-    // Migration planner: a readmitted backup must agree on any in-flight
-    // rotation or it could double-handoff after a failover.
-    w.write_string(g->usage_member);
-    w.write_u32(static_cast<std::uint32_t>(g->usage.size()));
-    for (const auto& [at_ms, usage] : g->usage) {
-      w.write_u64(at_ms);
-      w.write_double(usage);
-    }
-    w.write_u64(g->last_migration_ms);
-    w.write_string(g->migrate_victim);
-    w.write_string(g->migrate_successor);
-    w.write_bool(g->handoff_sent);
-  }
+  for (const auto& g : groups_) giop::encode(w, *g);
   return w.take();
 }
 
 bool RmCore::install_snapshot(const Bytes& snapshot) {
   giop::CdrReader r(snapshot, giop::ByteOrder::kLittleEndian);
   std::set<std::string> dead_hosts;
-  if (!read_string_set(r, dead_hosts)) return false;
-  auto alive_epoch = r.read_u64();
-  if (!alive_epoch) return false;
-  auto alive_count = r.read_u32();
-  if (!alive_count) return false;
+  std::uint64_t alive_epoch = 0;
   std::vector<std::string> alive_hosts;
-  alive_hosts.reserve(*alive_count);
-  for (std::uint32_t i = 0; i < *alive_count; ++i) {
-    auto h = r.read_string();
-    if (!h) return false;
-    alive_hosts.push_back(std::move(*h));
-  }
   RmStats totals;
-  auto l = r.read_u64();
-  auto p = r.read_u64();
-  auto re = r.read_u64();
-  auto mi = r.read_u64();
-  if (!l || !p || !re || !mi) return false;
-  totals.launches = *l;
-  totals.proactive_launches = *p;
-  totals.reactive_launches = *re;
-  totals.migrations = *mi;
-  auto group_count = r.read_u32();
+  std::uint32_t group_count = 0;
   // Supervised targets are construction-time configuration, identical on
   // every RM replica: a mismatched count means the frame is not for us.
-  if (!group_count || *group_count != groups_.size()) return false;
+  if (!(giop::decode(r, dead_hosts) && giop::decode(r, alive_epoch) &&
+        giop::decode(r, alive_hosts) && giop::decode(r, totals) &&
+        giop::decode(r, group_count)) ||
+      group_count != groups_.size()) {
+    return false;
+  }
   // Decode into scratch groups first — install must be all-or-nothing.
   std::vector<std::unique_ptr<Group>> scratch;
   for (const auto& g : groups_) {
     auto s = std::make_unique<Group>();
     s->target = g->target;
-    if (!s->registry.decode(r)) return false;
-    if (!read_string_set(r, s->doomed)) return false;
-    auto pending_count = r.read_u32();
-    if (!pending_count) return false;
-    for (std::uint32_t i = 0; i < *pending_count; ++i) {
-      Slot slot;
-      auto inc = r.read_i32();
-      if (!inc) return false;
-      slot.incarnation = *inc;
-      auto host = r.read_string();
-      if (!host) return false;
-      slot.host = std::move(*host);
-      auto proactive = r.read_bool();
-      auto restriped = r.read_bool();
-      auto algorithmic = r.read_bool();
-      if (!proactive || !restriped || !algorithmic) return false;
-      slot.proactive = *proactive;
-      slot.restriped = *restriped;
-      slot.algorithmic = *algorithmic;
-      s->pending.push_back(std::move(slot));
-    }
-    auto next_inc = r.read_i32();
-    if (!next_inc) return false;
-    s->next_incarnation = *next_inc;
-    auto gl = r.read_u64();
-    auto gp = r.read_u64();
-    auto gr = r.read_u64();
-    auto gm = r.read_u64();
-    if (!gl || !gp || !gr || !gm) return false;
-    s->stats.launches = *gl;
-    s->stats.proactive_launches = *gp;
-    s->stats.reactive_launches = *gr;
-    s->stats.migrations = *gm;
-    if (!read_string_set(r, s->reserved)) return false;
-    if (!read_string_set(r, s->restoring)) return false;
-    auto version = r.read_u64();
-    if (!version) return false;
-    s->read_set.version = *version;
-    auto primary = r.read_string();
-    if (!primary) return false;
-    s->read_set.primary = std::move(*primary);
-    auto entry_count = r.read_u32();
-    if (!entry_count) return false;
-    for (std::uint32_t i = 0; i < *entry_count; ++i) {
-      Announce e;
-      auto member = r.read_string();
-      if (!member) return false;
-      e.member = std::move(*member);
-      auto host = r.read_string();
-      if (!host) return false;
-      e.endpoint.host = std::move(*host);
-      auto port = r.read_u16();
-      if (!port) return false;
-      e.endpoint.port = *port;
-      auto ior = giop::decode_ior(r);
-      if (!ior) return false;
-      e.ior = std::move(*ior);
-      s->read_set.entries.push_back(std::move(e));
-    }
-    auto catchup_count = r.read_u32();
-    if (!catchup_count) return false;
-    for (std::uint32_t i = 0; i < *catchup_count; ++i) {
-      auto m = r.read_string();
-      if (!m) return false;
-      s->read_set.catching_up.push_back(std::move(*m));
-    }
-    auto usage_member = r.read_string();
-    if (!usage_member) return false;
-    s->usage_member = std::move(*usage_member);
-    auto usage_count = r.read_u32();
-    if (!usage_count) return false;
-    for (std::uint32_t i = 0; i < *usage_count; ++i) {
-      auto at_ms = r.read_u64();
-      if (!at_ms) return false;
-      auto usage = r.read_double();
-      if (!usage) return false;
-      s->usage.emplace_back(*at_ms, *usage);
-    }
-    auto last_migration = r.read_u64();
-    if (!last_migration) return false;
-    s->last_migration_ms = *last_migration;
-    auto victim = r.read_string();
-    if (!victim) return false;
-    s->migrate_victim = std::move(*victim);
-    auto successor = r.read_string();
-    if (!successor) return false;
-    s->migrate_successor = std::move(*successor);
-    auto handoff_sent = r.read_bool();
-    if (!handoff_sent) return false;
-    s->handoff_sent = *handoff_sent;
+    if (!giop::decode(r, *s)) return false;
     scratch.push_back(std::move(s));
   }
   dead_hosts_ = std::move(dead_hosts);
-  alive_epoch_ = *alive_epoch;
+  alive_epoch_ = alive_epoch;
   alive_hosts_ = std::move(alive_hosts);
   totals_ = totals;
   by_replica_group_.clear();
@@ -1013,6 +845,7 @@ RmCore::Actions RmCore::resume_actions() const {
       a.service = g->target.service;
       a.group = read_set_group(g->target.service);
       a.read_set = g->read_set;
+      a.catching_up = g->catching_up;
       a.republish = true;
       out.push_back(std::move(a));
     }

@@ -27,6 +27,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/config.h"
@@ -89,6 +90,9 @@ struct RmStats {
   std::uint64_t reactive_launches = 0;   // triggered by membership loss
   std::uint64_t migrations = 0;          // planner-scheduled rotations
 
+  static constexpr auto kFields =
+      std::tuple{&RmStats::launches, &RmStats::proactive_launches,
+                 &RmStats::reactive_launches, &RmStats::migrations};
   friend bool operator==(const RmStats&, const RmStats&) = default;
 };
 
@@ -176,6 +180,9 @@ struct RmAction {
   // kPublishReadSet
   std::string group;
   ReadSet read_set;
+  /// kQuorum only: members of `read_set` still catching up (published
+  /// together as one kQuorumSet).
+  std::vector<std::string> catching_up;
   bool republish = false;
   /// Difference vs the previously published version; meaningful only when
   /// `have_delta` (version-bumping updates with a known base). The shell
@@ -295,6 +302,9 @@ class RmCore {
     bool proactive = false;
     bool restriped = false;
     bool algorithmic = false;
+    static constexpr auto kFields =
+        std::tuple{&Slot::incarnation, &Slot::host, &Slot::proactive,
+                   &Slot::restriped, &Slot::algorithmic};
   };
 
   /// Everything the core tracks for one supervised group.
@@ -312,6 +322,8 @@ class RmCore {
     /// kActiveReadFanout only: the last published serving set. version 0
     /// means nothing has been published yet (clients stay on the primary).
     ReadSet read_set;
+    /// kQuorum only: the published set's catching-up members.
+    std::vector<std::string> catching_up;
     /// Stateful groups: members with an open restore handshake (saw their
     /// directed kCkptRequest; cleared by announce or view departure —
     /// except under kQuorum, where only kCatchupDone or departure clears).
@@ -333,6 +345,17 @@ class RmCore {
     /// victim leaves the view (the acting shell may have died before the
     /// frame travelled).
     bool handoff_sent = false;
+    /// What a readmission snapshot carries per group: everything but the
+    /// construction-time target.
+    static constexpr auto kFields = std::tuple{
+        &Group::registry,       &Group::doomed,
+        &Group::pending,        &Group::next_incarnation,
+        &Group::stats,          &Group::reserved,
+        &Group::restoring,      &Group::read_set,
+        &Group::catching_up,    &Group::usage_member,
+        &Group::usage,          &Group::last_migration_ms,
+        &Group::migrate_victim, &Group::migrate_successor,
+        &Group::handoff_sent};
   };
 
   /// The ordinary event application path (on_event minus the readmission

@@ -50,7 +50,7 @@ sim::Task<bool> ServerMead::start() {
     proc_->sim().spawn(restore_watchdog());
     (void)co_await gc_->multicast(
         ckpt_group(cfg_.service),
-        encode_ckpt_request(CkptRequest{cfg_.member, await_nonce_, 0}));
+        encode_ctrl(CkptRequest{cfg_.member, await_nonce_, 0}));
     if (cfg_.style != ReplicationStyle::kQuorum) {
       // Warm-passive / fanout: the restore gates the announce — clients
       // must never be pointed at a replica whose state is behind.
@@ -66,7 +66,7 @@ sim::Task<bool> ServerMead::start() {
     if (self_ior_.valid()) {
       (void)co_await gc_->multicast(
           replica_group(cfg_.service),
-          encode_announce(Announce{cfg_.member, orb_endpoint_, self_ior_}));
+          encode_ctrl(Announce{cfg_.member, orb_endpoint_, self_ior_}));
     }
     if (cfg_.state_sync_interval > Duration{0}) {
       proc_->sim().spawn(state_sync_loop());
@@ -79,7 +79,7 @@ sim::Task<bool> ServerMead::start() {
   if (self_ior_.valid()) {
     (void)co_await gc_->multicast(
         replica_group(cfg_.service),
-        encode_announce(Announce{cfg_.member, orb_endpoint_, self_ior_}));
+        encode_ctrl(Announce{cfg_.member, orb_endpoint_, self_ior_}));
   }
   proc_->sim().spawn(gc_pump());
   if (cfg_.state_sync_interval > Duration{0}) {
@@ -130,144 +130,110 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
   }
   auto ctrl = decode_ctrl(ev.payload);
   if (!ctrl) return;
-  switch (ctrl->kind) {
-    case CtrlKind::kAnnounce:
-      registry_.on_announce(*ctrl->announce);
-      break;
-    case CtrlKind::kListing:
-      registry_.on_listing(*ctrl->listing);
-      break;
-    case CtrlKind::kPrimaryQuery:
-      // Only the first listed replica answers (§4.2). If the failed replica
-      // is still listed first (membership not yet settled), park the query:
-      // whichever replica the next view promotes will answer it — if that
-      // happens within the client's timeout window.
-      if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(answer_primary_query(ctrl->query->reply_group,
-                                                ctrl->query->nonce));
-      } else {
-        pending_queries_.emplace_back(ctrl->query->reply_group,
-                                      ctrl->query->nonce,
-                                      proc_->sim().now() + milliseconds(20));
-      }
-      break;
-    case CtrlKind::kState:
-      if (ctrl->state->member != cfg_.member && set_state_) {
-        if (ctrl->state->version > state_version_) {
-          state_version_ = ctrl->state->version;
-          set_state_(ctrl->state->state);
-          ++stats_.state_applied;
-        }
-      }
-      break;
-    case CtrlKind::kLaunchRequest:
-      break;  // the Recovery Manager's business
-    case CtrlKind::kPrimaryAnswer:
-      break;  // only clients consume answers
-    case CtrlKind::kReadSet:
-    case CtrlKind::kReadSetDelta:
-      break;  // published by the RM for routing clients, not replicas
-    case CtrlKind::kNodeCrash:
-    case CtrlKind::kLaunchFailed:
-    case CtrlKind::kAliveEpoch:
-    case CtrlKind::kNodeJoin:
-      break;  // RM-group-internal frames; never sent to replica groups
-    case CtrlKind::kRetire:
-      // The rebalance pass migrated this group onto a new host and named
-      // us the victim: drain in-flight work, then exit gracefully — the
-      // replacement is already announcing on the joined node.
-      if (ctrl->retire->member == cfg_.member && proc_->alive()) {
-        proc_->sim().obs().metrics().counter("server.retires").add();
-        proc_->sim().spawn(rejuvenate_after_drain());
-      }
-      break;
-    case CtrlKind::kCkptRequest: {
-      if (app_state_ == nullptr || restoring_ ||
-          ctrl->ckpt_request->nonce == 0 ||
-          ctrl->ckpt_request->member == cfg_.member) {
-        break;
-      }
-      const auto& req = *ctrl->ckpt_request;
-      if (cfg_.state.pull_restore && !registry_.find(req.member)) {
-        // Pull model, and the requester is not announced (a restoring
-        // starter, not a live mirror resyncing): every announced peer
-        // answers the stripe of the chain its listing rank owns, so the
-        // requester pulls from all survivors concurrently.
-        std::size_t rank = 0;
-        std::size_t ranks = 0;
-        bool self_listed = false;
-        for (const auto& rec : registry_.listed()) {
-          if (rec.member == cfg_.member) {
-            self_listed = true;
-            rank = ranks;
-          }
-          ++ranks;
-        }
-        if (self_listed) {
-          ++stats_.pull_answers;
-          proc_->sim().spawn(answer_restore(req.member, req.nonce, rank,
-                                            ranks));
-        }
-        break;
-      }
-      // Historical single-answerer path: only the announced primary
-      // answers — a restoring replica is not yet announced, so never
-      // first.
-      if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(answer_restore(req.member, req.nonce, 0, 1));
-      }
-      break;
+  // Kinds not handled here are the Recovery Manager's business (launch
+  // requests, usage reports, nacks, catch-up reports, RM-group frames) or
+  // published for clients (primary answers, read sets).
+  if (const auto* m = std::get_if<Announce>(&*ctrl)) {
+    registry_.on_announce(*m);
+  } else if (const auto* m = std::get_if<Listing>(&*ctrl)) {
+    registry_.on_listing(*m);
+  } else if (const auto* q = std::get_if<PrimaryQuery>(&*ctrl)) {
+    // Only the first listed replica answers (§4.2). If the failed replica
+    // is still listed first (membership not yet settled), park the query:
+    // whichever replica the next view promotes will answer it — if that
+    // happens within the client's timeout window.
+    if (registry_.is_first(cfg_.member)) {
+      proc_->sim().spawn(answer_primary_query(q->reply_group, q->nonce));
+    } else {
+      pending_queries_.emplace_back(q->reply_group, q->nonce,
+                                    proc_->sim().now() + milliseconds(20));
     }
-    case CtrlKind::kCkptDelta:
-      if (app_state_ && ctrl->ckpt_delta->member != cfg_.member) {
-        handle_ckpt_delta(std::move(*ctrl->ckpt_delta));
-      }
-      break;
-    case CtrlKind::kLogReplay:
-      if (app_state_ && ctrl->log_replay->nonce != 0 &&
-          ctrl->log_replay->nonce == await_nonce_) {
-        if (restoring_) {
-          if (cfg_.state.pull_restore) {
-            // Stripes from other answerers may still be in flight behind
-            // the primary's closing replay: stash it until the delta
-            // chain has caught up to the replay's start.
-            pull_replay_ = *ctrl->log_replay;
-            try_pull_replay();
-          } else {
-            const std::int64_t replayed = state::MessageLog::replay(
-                ctrl->log_replay->entries, ctrl->log_replay->digest,
-                *app_state_);
-            proc_->sim().spawn(finish_replay(replayed));
-          }
-        } else {
-          await_nonce_ = 0;  // live-mirror resync stream complete
-        }
-      }
-      break;
-    case CtrlKind::kReadSetNack:
-      break;  // the Recovery Manager answers read-set gap reports
-    case CtrlKind::kUsageReport:
-      break;  // the RM's migration planner consumes these
-    case CtrlKind::kQuorumSet:
-      break;  // published by the RM for routing clients, not replicas
-    case CtrlKind::kCatchupDone:
-      break;  // the RM clears the sender's catching_up flag
-    case CtrlKind::kHandoff:
-      if (ctrl->handoff) handle_handoff(*ctrl->handoff);
-      break;
-    case CtrlKind::kReplyCache: {
-      if (app_state_ == nullptr || cfg_.state.dedup_cap == 0 ||
-          ctrl->reply_cache->member == cfg_.member) {
-        break;
-      }
-      const auto& rc = *ctrl->reply_cache;
-      // Periodic pushes install on mirrors only (the primary is the
-      // source); directed ones only on the requester that asked.
-      const bool take = rc.nonce == 0 ? !registry_.is_first(cfg_.member)
-                                      : rc.nonce == await_nonce_;
-      if (take) dedup_install(rc.entries);
-      break;
+  } else if (const auto* st = std::get_if<StateTransfer>(&*ctrl)) {
+    if (st->member != cfg_.member && set_state_ &&
+        st->version > state_version_) {
+      state_version_ = st->version;
+      set_state_(st->state);
+      ++stats_.state_applied;
     }
+  } else if (const auto* m = std::get_if<Retire>(&*ctrl)) {
+    // The rebalance pass migrated this group onto a new host and named
+    // us the victim: drain in-flight work, then exit gracefully — the
+    // replacement is already announcing on the joined node.
+    if (m->member == cfg_.member && proc_->alive()) {
+      proc_->sim().obs().metrics().counter("server.retires").add();
+      proc_->sim().spawn(rejuvenate_after_drain());
+    }
+  } else if (const auto* req = std::get_if<CkptRequest>(&*ctrl)) {
+    handle_ckpt_request(*req);
+  } else if (auto* d = std::get_if<CkptDelta>(&*ctrl)) {
+    if (app_state_ && d->member != cfg_.member) {
+      handle_ckpt_delta(std::move(*d));
+    }
+  } else if (const auto* lr = std::get_if<LogReplay>(&*ctrl)) {
+    handle_log_replay(*lr);
+  } else if (const auto* h = std::get_if<Handoff>(&*ctrl)) {
+    handle_handoff(*h);
+  } else if (const auto* rc = std::get_if<ReplyCache>(&*ctrl)) {
+    if (app_state_ == nullptr || cfg_.state.dedup_cap == 0 ||
+        rc->member == cfg_.member) {
+      return;
+    }
+    // Periodic pushes install on mirrors only (the primary is the
+    // source); directed ones only on the requester that asked.
+    const bool take = rc->nonce == 0 ? !registry_.is_first(cfg_.member)
+                                     : rc->nonce == await_nonce_;
+    if (take) dedup_install(rc->entries);
+  }
+}
+
+void ServerMead::handle_ckpt_request(const CkptRequest& req) {
+  if (app_state_ == nullptr || restoring_ || req.nonce == 0 ||
+      req.member == cfg_.member) {
+    return;
+  }
+  if (cfg_.state.pull_restore && !registry_.find(req.member)) {
+    // Pull model, and the requester is not announced (a restoring
+    // starter, not a live mirror resyncing): every announced peer
+    // answers the stripe of the chain its listing rank owns, so the
+    // requester pulls from all survivors concurrently.
+    std::size_t rank = 0;
+    std::size_t ranks = 0;
+    bool self_listed = false;
+    for (const auto& rec : registry_.listed()) {
+      if (rec.member == cfg_.member) {
+        self_listed = true;
+        rank = ranks;
+      }
+      ++ranks;
+    }
+    if (self_listed) {
+      ++stats_.pull_answers;
+      proc_->sim().spawn(answer_restore(req.member, req.nonce, rank, ranks));
+    }
+    return;
+  }
+  // Historical single-answerer path: only the announced primary
+  // answers — a restoring replica is not yet announced, so never
+  // first.
+  if (registry_.is_first(cfg_.member)) {
+    proc_->sim().spawn(answer_restore(req.member, req.nonce, 0, 1));
+  }
+}
+
+void ServerMead::handle_log_replay(const LogReplay& lr) {
+  if (!app_state_ || lr.nonce == 0 || lr.nonce != await_nonce_) return;
+  if (!restoring_) {
+    await_nonce_ = 0;  // live-mirror resync stream complete
+  } else if (cfg_.state.pull_restore) {
+    // Stripes from other answerers may still be in flight behind the
+    // primary's closing replay: stash it until the delta chain has
+    // caught up to the replay's start.
+    pull_replay_ = lr;
+    try_pull_replay();
+  } else {
+    const std::int64_t replayed =
+        state::MessageLog::replay(lr.entries, lr.digest, *app_state_);
+    proc_->sim().spawn(finish_replay(replayed));
   }
 }
 
@@ -316,7 +282,7 @@ sim::Task<void> ServerMead::usage_report_loop() {
         static_cast<std::uint64_t>(proc_->sim().now().ns() / 1'000'000);
     (void)co_await gc_->multicast(
         control_group(cfg_.service),
-        encode_usage_report(UsageReport{cfg_.member, usage(), at_ms}));
+        encode_ctrl(UsageReport{cfg_.member, usage(), at_ms}));
   }
 }
 
@@ -355,7 +321,7 @@ Bytes ServerMead::reply_cache_wire(std::uint64_t nonce) const {
   rc.member = cfg_.member;
   rc.nonce = nonce;
   rc.entries.assign(dedup_fifo_.begin(), dedup_fifo_.end());
-  return encode_reply_cache(rc);
+  return encode_ctrl(rc);
 }
 
 sim::Task<void> ServerMead::answer_primary_query(std::string reply_group,
@@ -363,7 +329,7 @@ sim::Task<void> ServerMead::answer_primary_query(std::string reply_group,
   ++stats_.primary_answers;
   (void)co_await gc_->multicast(
       std::move(reply_group),
-      encode_primary_answer(PrimaryAnswer{cfg_.member, orb_endpoint_, nonce}));
+      encode_ctrl(PrimaryAnswer{cfg_.member, orb_endpoint_, nonce}));
 }
 
 sim::Task<void> ServerMead::send_listing() {
@@ -377,7 +343,7 @@ sim::Task<void> ServerMead::send_listing() {
   }
   if (listing.entries.empty()) co_return;
   (void)co_await gc_->multicast(replica_group(cfg_.service),
-                                encode_listing(listing));
+                                encode_ctrl(listing));
 }
 
 sim::Task<void> ServerMead::state_sync_loop() {
@@ -389,7 +355,7 @@ sim::Task<void> ServerMead::state_sync_loop() {
     ++stats_.state_pushes;
     (void)co_await gc_->multicast(
         replica_group(cfg_.service),
-        encode_state(StateTransfer{cfg_.member, state_version_, get_state_()}));
+        encode_ctrl(StateTransfer{cfg_.member, state_version_, get_state_()}));
   }
 }
 
@@ -525,7 +491,7 @@ void ServerMead::finish_restore(bool restored, double ops) {
     // the ordered kCatchupDone readmits us to the read quorum.
     proc_->sim().spawn(multicast_task(
         ckpt_group(cfg_.service),
-        encode_catchup_done(CatchupDone{cfg_.service, cfg_.member})));
+        encode_ctrl(CatchupDone{cfg_.service, cfg_.member})));
   }
 }
 
@@ -582,7 +548,7 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
   lr.digest = app_state_->digest();
   lr.entries = msg_log_->entries();
   (void)co_await gc_->multicast(ckpt_group(cfg_.service),
-                                encode_log_replay(lr));
+                                encode_ctrl(lr));
 }
 
 sim::Task<void> ServerMead::request_resync() {
@@ -592,8 +558,8 @@ sim::Task<void> ServerMead::request_resync() {
   await_nonce_ = make_nonce();
   (void)co_await gc_->multicast(
       ckpt_group(cfg_.service),
-      encode_ckpt_request(CkptRequest{cfg_.member, await_nonce_,
-                                      ckpt_store_->last_epoch()}));
+      encode_ctrl(CkptRequest{cfg_.member, await_nonce_,
+                              ckpt_store_->last_epoch()}));
 }
 
 void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
@@ -703,7 +669,7 @@ void ServerMead::check_thresholds() {
 sim::Task<void> ServerMead::send_launch_request(double usage_now) {
   (void)co_await gc_->multicast(
       control_group(cfg_.service),
-      encode_launch_request(LaunchRequest{cfg_.member, usage_now}));
+      encode_ctrl(LaunchRequest{cfg_.member, usage_now}));
 }
 
 sim::Task<void> ServerMead::rejuvenate_after_drain() {

@@ -176,6 +176,10 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
   void handle_ckpt_delta(CkptDelta&& d);
+  /// A peer opened a directed restore: answer its stripe, if any.
+  void handle_ckpt_request(const CkptRequest& req);
+  /// The closing replay of a restore (or of a live mirror's resync).
+  void handle_log_replay(const LogReplay& lr);
   [[nodiscard]] Bytes ckpt_wire(const state::Checkpoint& c,
                                 std::uint64_t nonce) const;
   [[nodiscard]] std::uint64_t make_nonce();

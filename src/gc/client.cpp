@@ -24,26 +24,28 @@ sim::Task<bool> GcClient::connect() {
   auto fd = co_await proc_.api().connect(daemon_);
   if (!fd) co_return false;
   fd_ = fd.value();
-  auto w = co_await proc_.api().writev(fd_, encode_hello(HelloMsg{name_}));
+  auto w = co_await proc_.api().writev(fd_, encode(HelloMsg{name_}));
   co_return w.ok();
 }
 
 sim::Task<bool> GcClient::join(std::string group) {
   if (fd_ < 0) co_return false;
-  auto w = co_await proc_.api().writev(fd_, encode_join(GroupMsg{std::move(group)}));
+  auto w = co_await proc_.api().writev(
+      fd_, encode(GroupMsg{std::move(group)}, Op::kJoin));
   co_return w.ok();
 }
 
 sim::Task<bool> GcClient::leave(std::string group) {
   if (fd_ < 0) co_return false;
-  auto w = co_await proc_.api().writev(fd_, encode_leave(GroupMsg{std::move(group)}));
+  auto w = co_await proc_.api().writev(
+      fd_, encode(GroupMsg{std::move(group)}, Op::kLeave));
   co_return w.ok();
 }
 
 sim::Task<bool> GcClient::multicast(std::string group, Bytes payload) {
   if (fd_ < 0) co_return false;
   auto w = co_await proc_.api().writev(
-      fd_, encode_mcast(McastMsg{std::move(group), std::move(payload)}));
+      fd_, encode(McastMsg{std::move(group), std::move(payload)}));
   co_return w.ok();
 }
 
@@ -57,7 +59,7 @@ void GcClient::decode_frames() {
     if (!frame) break;
     switch (frame->op()) {
       case Op::kDeliver: {
-        auto m = decode_deliver(*frame);
+        auto m = decode<DeliverMsg>(*frame);
         if (!m) break;
         Event ev;
         ev.kind = Event::Kind::kMessage;
@@ -69,7 +71,7 @@ void GcClient::decode_frames() {
         break;
       }
       case Op::kView: {
-        auto m = decode_view(*frame);
+        auto m = decode<ViewMsg>(*frame);
         if (!m) break;
         Event ev;
         ev.kind = Event::Kind::kView;

@@ -57,7 +57,7 @@ void GcDaemon::on_peer_link_up() {
       bridge_requested_ = false;
       for (auto& [peer, fd] : peer_fds_) {
         (void)peer;
-        direct_send(fd, encode_bridge(BridgeMsg{cfg_.self_index, false}));
+        direct_send(fd, encode(BridgeMsg{cfg_.self_index, false}));
       }
     }
   }
@@ -83,7 +83,7 @@ void GcDaemon::flush_pending() {
     // Bridged regime: the stamper is alive but unlinked. Relay via the
     // lowest-id linked peer; ids shrink toward the sequencer hop by hop.
     if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
-    if (it != peer_fds_.end()) mesh_send(it->second, encode_submit(m));
+    if (it != peer_fds_.end()) mesh_send(it->second, encode(m, Op::kSubmit));
   }
 }
 
@@ -201,7 +201,7 @@ sim::Task<void> GcDaemon::mesh_connect_loop() {
     conns_.emplace(fd, std::move(st));
     peer_fds_[peer] = fd;
     peer_last_seen_[peer] = proc_->sim().now();
-    direct_send(fd, encode_peer_hello(PeerHelloMsg{cfg_.self_index}));
+    direct_send(fd, encode(PeerHelloMsg{cfg_.self_index}));
     proc_->sim().spawn(connection_loop(fd));
     on_peer_link_up();
   }
@@ -225,9 +225,8 @@ sim::Task<void> GcDaemon::heartbeat_loop() {
     for (auto& [peer, fd] : peer_fds_) {
       (void)peer;
       direct_send(fd, sharded
-                          ? encode_seq_watermark(
-                                SeqWatermarkMsg{cfg_.self_index, next_seq_})
-                          : encode_heartbeat(HeartbeatMsg{cfg_.self_index}));
+                          ? encode(SeqWatermarkMsg{cfg_.self_index, next_seq_})
+                          : encode(HeartbeatMsg{cfg_.self_index}));
     }
   }
 }
@@ -338,7 +337,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
 
   switch (frame.op()) {
     case Op::kHello: {
-      auto m = decode_hello(frame);
+      auto m = decode<HelloMsg>(frame);
       if (!m) return;
       st.role = ConnState::Role::kClient;
       st.client_name = m->name;
@@ -353,7 +352,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kJoin: {
-      auto m = decode_group(frame);
+      auto m = decode<GroupMsg>(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.insert(m->group);
       OrderedMsg join;
@@ -364,7 +363,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kLeave: {
-      auto m = decode_group(frame);
+      auto m = decode<GroupMsg>(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.erase(m->group);
       OrderedMsg leave;
@@ -375,7 +374,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kMcast: {
-      auto m = decode_mcast(frame);
+      auto m = decode<McastMsg>(frame);
       if (!m || st.role != ConnState::Role::kClient) return;
       OrderedMsg data;
       data.kind = PayloadKind::kData;
@@ -386,7 +385,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kPeerHello: {
-      auto m = decode_peer_hello(frame);
+      auto m = decode<PeerHelloMsg>(frame);
       if (!m) return;
       st.role = ConnState::Role::kPeer;
       st.peer_id = m->daemon_id;
@@ -410,31 +409,31 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kSubmit: {
-      auto m = decode_ordered_like(frame);
+      auto m = decode<OrderedMsg>(frame);
       if (!m) return;
       route_submit(std::move(m.value()), fd);
       break;
     }
     case Op::kRejoin: {
-      auto m = decode_rejoin(frame);
+      auto m = decode<RejoinMsg>(frame);
       if (!m) return;
       handle_rejoin(fd, m.value());
       break;
     }
     case Op::kStateSync: {
-      auto m = decode_state_sync(frame);
+      auto m = decode<StateSyncMsg>(frame);
       if (!m) return;
       handle_state_sync(fd, m.value());
       break;
     }
     case Op::kAliveSet: {
-      auto m = decode_alive_set(frame);
+      auto m = decode<AliveSetMsg>(frame);
       if (!m) return;
       adopt_alive_set(m->alive, fd);
       break;
     }
     case Op::kOrdered: {
-      auto m = decode_ordered_like(frame);
+      auto m = decode<OrderedMsg>(frame);
       if (!m) return;
       // Freshness gate before handling: bridge targets get exactly the
       // ordered traffic we accept, and a forwarded duplicate bouncing back
@@ -443,7 +442,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       const std::uint64_t from_peer = st.peer_id;
       handle_ordered(m.value());
       if (fresh && !bridge_targets_.empty()) {
-        const Bytes wire = encode_ordered(m.value());
+        const Bytes wire = encode(m.value(), Op::kOrdered);
         for (std::uint64_t target : bridge_targets_) {
           if (target == from_peer) continue;
           auto pfd = peer_fds_.find(target);
@@ -453,7 +452,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kSeqWatermark: {
-      auto m = decode_seq_watermark(frame);
+      auto m = decode<SeqWatermarkMsg>(frame);
       if (!m) return;
       // Ratchet: our counter never falls below any peer's announced
       // frontier, so whichever daemon inherits a group on the next alive-set
@@ -472,7 +471,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       break;
     }
     case Op::kBridge: {
-      auto m = decode_bridge(frame);
+      auto m = decode<BridgeMsg>(frame);
       if (!m) return;
       if (m->on) {
         bridge_targets_.insert(m->daemon_id);
@@ -508,7 +507,7 @@ void GcDaemon::submit(OrderedMsg m) {
   // linked peer (see flush_pending).
   if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
   if (it != peer_fds_.end()) {
-    mesh_send(it->second, encode_submit(m));
+    mesh_send(it->second, encode(m, Op::kSubmit));
   }
   // Retained until seen ordered; if the stamper link is down,
   // handle_peer_gone will resubmit.
@@ -534,7 +533,7 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
       }
     }
     if (it != peer_fds_.end()) {
-      mesh_send(it->second, encode_submit(m));
+      mesh_send(it->second, encode(m, Op::kSubmit));
     }
     return;
   }
@@ -547,7 +546,7 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
 
 void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
   m.seq = next_seq_++;
-  Bytes wire = encode_ordered(m);
+  Bytes wire = encode(m, Op::kOrdered);
   // One broadcast per ordered message, recorded at the stamper — the
   // event-level view of the Figure 5 bandwidth measurement.
   auto& obs = proc_->sim().obs();
@@ -679,7 +678,7 @@ void GcDaemon::handle_ordered(const OrderedMsg& m) {
 
 void GcDaemon::send_view(const std::string& group) {
   const GroupState& g = groups_[group];
-  const Bytes wire = encode_view(ViewMsg{group, g.view_id, g.members});
+  const Bytes wire = encode(ViewMsg{group, g.view_id, g.members});
   for (const auto& member : g.members) {
     auto fd = client_fds_.find(member);
     if (fd == client_fds_.end()) continue;
@@ -765,7 +764,9 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
     // Resubmit pending to the new sequencer.
     auto it = peer_fds_.find(sequencer_id());
     if (it != peer_fds_.end()) {
-      for (const auto& m : pending_) mesh_send(it->second, encode_submit(m));
+      for (const auto& m : pending_) {
+        mesh_send(it->second, encode(m, Op::kSubmit));
+      }
     }
   }
 
@@ -863,7 +864,7 @@ sim::Task<void> GcDaemon::rejoin_probe_loop() {
       st.role = ConnState::Role::kPeer;
       st.peer_id = peer;
       conns_.emplace(fd, std::move(st));
-      direct_send(fd, encode_peer_hello(PeerHelloMsg{cfg_.self_index}));
+      direct_send(fd, encode(PeerHelloMsg{cfg_.self_index}));
       proc_->sim().spawn(connection_loop(fd));
       resurrect_peer(peer, fd);
       // Ask the first recovered peer — the lowest dead id, our best
@@ -914,7 +915,7 @@ void GcDaemon::send_rejoin(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end() || it->second.rejoin_sent) return;
   it->second.rejoin_sent = true;
-  direct_send(fd, encode_rejoin(RejoinMsg{cfg_.self_index, next_seq_,
+  direct_send(fd, encode(RejoinMsg{cfg_.self_index, next_seq_,
                                           island_count(),
                                           island_sequencer()}));
 }
@@ -958,8 +959,7 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
       // bumped frontier so the rest of our island ratchets too (the
       // periodic watermark would get there anyway; this closes the gap).
       bump_seq_past(m.next_seq);
-      const Bytes wm_wire = encode_seq_watermark(
-          SeqWatermarkMsg{cfg_.self_index, next_seq_});
+      const Bytes wm_wire = encode(SeqWatermarkMsg{cfg_.self_index, next_seq_});
       for (auto& [peer, pfd] : peer_fds_) {
         (void)peer;
         direct_send(pfd, wm_wire);
@@ -970,14 +970,14 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
       // Route the domain bump to the daemon that actually sequences.
       auto seq_fd = peer_fds_.find(sequencer_id());
       if (seq_fd != peer_fds_.end()) {
-        direct_send(seq_fd->second, encode_rejoin(m));
+        direct_send(seq_fd->second, encode(m));
       }
     }
-    direct_send(fd, encode_state_sync(snapshot_state()));
+    direct_send(fd, encode(snapshot_state()));
     // Gossip the merged alive set to the rest of our island: peers further
     // down a healed chain never exchanged a Rejoin with the new arrival,
     // yet must learn the mesh now extends past their own links.
-    const Bytes alive_wire = encode_alive_set(
+    const Bytes alive_wire = encode(
         AliveSetMsg{{alive_daemons_.begin(), alive_daemons_.end()}});
     for (auto& [peer, pfd] : peer_fds_) {
       (void)peer;
@@ -1028,7 +1028,7 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
   if (!changed) return;
   // Re-gossip on growth only, so chains of any length converge and the
   // traffic terminates (the union is monotone and bounded).
-  const Bytes wire = encode_alive_set(
+  const Bytes wire = encode(
       AliveSetMsg{{alive_daemons_.begin(), alive_daemons_.end()}});
   for (auto& [peer, pfd] : peer_fds_) {
     (void)peer;
@@ -1041,7 +1041,7 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
   bridge_requested_ = true;
   for (auto& [peer, pfd] : peer_fds_) {
     (void)peer;
-    direct_send(pfd, encode_bridge(BridgeMsg{cfg_.self_index, true}));
+    direct_send(pfd, encode(BridgeMsg{cfg_.self_index, true}));
   }
   if (!probe_running_) {
     probe_running_ = true;
@@ -1059,7 +1059,7 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
     // carries no counter; beacon the bumped frontier so they ratchet now
     // rather than one watermark interval from now.
     const Bytes wm_wire =
-        encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_});
+        encode(SeqWatermarkMsg{cfg_.self_index, next_seq_});
     for (auto& [peer, pfd] : peer_fds_) {
       (void)peer;
       direct_send(pfd, wm_wire);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/types.h"
@@ -20,6 +21,7 @@ struct View {
 
   std::uint64_t view_id = 0;
   std::vector<std::string> members;
+  static constexpr auto kFields = std::tuple{&View::view_id, &View::members};
 
   [[nodiscard]] bool contains(const std::string& name) const {
     return std::find(members.begin(), members.end(), name) != members.end();

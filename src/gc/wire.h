@@ -11,11 +11,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/expected.h"
 #include "common/types.h"
 #include "giop/cdr.h"
+#include "giop/codec.h"
 
 namespace mead::gc {
 
@@ -48,17 +50,22 @@ enum class PayloadKind : std::uint8_t {
   kJoin = 1,   // membership: member joined group
   kLeave = 2,  // membership: member left group (or died)
 };
+/// Largest valid PayloadKind byte (giop/codec.h rejects anything above).
+constexpr PayloadKind codec_max(PayloadKind) { return PayloadKind::kLeave; }
 
 struct HelloMsg {
   HelloMsg() = default;
   explicit HelloMsg(std::string n) : name(std::move(n)) {}
   std::string name;
+  static constexpr Op kOp = Op::kHello;
+  static constexpr auto kFields = std::tuple{&HelloMsg::name};
 };
 
-struct GroupMsg {  // kJoin / kLeave (client side)
+struct GroupMsg {  // kJoin / kLeave (client side): encode(m, op)
   GroupMsg() = default;
   explicit GroupMsg(std::string g) : group(std::move(g)) {}
   std::string group;
+  static constexpr auto kFields = std::tuple{&GroupMsg::group};
 };
 
 struct McastMsg {
@@ -66,6 +73,9 @@ struct McastMsg {
   McastMsg(std::string g, Bytes p) : group(std::move(g)), payload(std::move(p)) {}
   std::string group;
   Bytes payload;
+  static constexpr Op kOp = Op::kMcast;
+  static constexpr auto kFields =
+      std::tuple{&McastMsg::group, &McastMsg::payload};
 };
 
 struct DeliverMsg {
@@ -76,6 +86,10 @@ struct DeliverMsg {
   std::string sender;
   std::uint64_t seq = 0;
   Bytes payload;
+  static constexpr Op kOp = Op::kDeliver;
+  static constexpr auto kFields =
+      std::tuple{&DeliverMsg::group, &DeliverMsg::sender, &DeliverMsg::seq,
+                 &DeliverMsg::payload};
 };
 
 struct ViewMsg {
@@ -85,15 +99,21 @@ struct ViewMsg {
   std::string group;
   std::uint64_t view_id = 0;
   std::vector<std::string> members;  // in join order ("first member" rule)
+  static constexpr Op kOp = Op::kView;
+  static constexpr auto kFields =
+      std::tuple{&ViewMsg::group, &ViewMsg::view_id, &ViewMsg::members};
 };
 
 struct PeerHelloMsg {
   PeerHelloMsg() = default;
   explicit PeerHelloMsg(std::uint64_t id) : daemon_id(id) {}
   std::uint64_t daemon_id = 0;
+  static constexpr Op kOp = Op::kPeerHello;
+  static constexpr auto kFields = std::tuple{&PeerHelloMsg::daemon_id};
 };
 
-/// A message en route to / stamped by the sequencer.
+/// A message en route to / stamped by the sequencer: encode(m, kSubmit) or
+/// encode(m, kOrdered).
 struct OrderedMsg {
   OrderedMsg() = default;
 
@@ -104,12 +124,18 @@ struct OrderedMsg {
   std::string group;
   std::string member;  // sender (kData) or subject member (kJoin/kLeave)
   Bytes payload;
+  static constexpr auto kFields =
+      std::tuple{&OrderedMsg::seq, &OrderedMsg::origin, &OrderedMsg::msg_id,
+                 &OrderedMsg::kind, &OrderedMsg::group, &OrderedMsg::member,
+                 &OrderedMsg::payload};
 };
 
 struct HeartbeatMsg {
   HeartbeatMsg() = default;
   explicit HeartbeatMsg(std::uint64_t id) : daemon_id(id) {}
   std::uint64_t daemon_id = 0;
+  static constexpr Op kOp = Op::kHeartbeat;
+  static constexpr auto kFields = std::tuple{&HeartbeatMsg::daemon_id};
 };
 
 /// A daemon re-establishing contact after a partition heal announces enough
@@ -124,6 +150,10 @@ struct RejoinMsg {
   std::uint64_t next_seq = 0;      // sender's sequencing counter
   std::uint64_t alive_count = 0;   // size of the sender's alive set
   std::uint64_t sequencer_id = 0;  // who the sender believes sequences
+  static constexpr Op kOp = Op::kRejoin;
+  static constexpr auto kFields =
+      std::tuple{&RejoinMsg::daemon_id, &RejoinMsg::next_seq,
+                 &RejoinMsg::alive_count, &RejoinMsg::sequencer_id};
 };
 
 /// One group's membership as the authority sees it. `homes` is parallel to
@@ -135,6 +165,9 @@ struct GroupSnapshot {
   std::uint64_t view_id = 0;
   std::vector<std::string> members;  // join order
   std::vector<std::uint64_t> homes;  // parallel to members
+  static constexpr auto kFields =
+      std::tuple{&GroupSnapshot::group, &GroupSnapshot::view_id,
+                 &GroupSnapshot::members, &GroupSnapshot::homes};
 };
 
 /// The authority's full group-state snapshot, sent in reply to a Rejoin the
@@ -150,6 +183,10 @@ struct StateSyncMsg {
   /// partially) knows the merged mesh extends past its own links, and asks
   /// its connected peers to bridge ordered traffic until the link heals.
   std::vector<std::uint64_t> alive;
+  static constexpr Op kOp = Op::kStateSync;
+  static constexpr auto kFields =
+      std::tuple{&StateSyncMsg::next_seq, &StateSyncMsg::groups,
+                 &StateSyncMsg::alive};
 };
 
 /// Bridge request: `daemon_id` asks the receiving (linked) peer to start
@@ -162,6 +199,9 @@ struct BridgeMsg {
 
   std::uint64_t daemon_id = 0;
   bool on = true;
+  static constexpr Op kOp = Op::kBridge;
+  static constexpr auto kFields =
+      std::tuple{&BridgeMsg::daemon_id, &BridgeMsg::on};
 };
 
 /// The merged alive-daemon set, gossiped to linked peers after an
@@ -173,6 +213,8 @@ struct AliveSetMsg {
   explicit AliveSetMsg(std::vector<std::uint64_t> a) : alive(std::move(a)) {}
 
   std::vector<std::uint64_t> alive;
+  static constexpr Op kOp = Op::kAliveSet;
+  static constexpr auto kFields = std::tuple{&AliveSetMsg::alive};
 };
 
 /// Periodic stamping-counter beacon, broadcast by every daemon when the
@@ -189,32 +231,10 @@ struct SeqWatermarkMsg {
 
   std::uint64_t daemon_id = 0;
   std::uint64_t next_seq = 0;
+  static constexpr Op kOp = Op::kSeqWatermark;
+  static constexpr auto kFields =
+      std::tuple{&SeqWatermarkMsg::daemon_id, &SeqWatermarkMsg::next_seq};
 };
-
-// ---- encoding ----
-//
-// Every encoder writes its CDR body straight after a reserved 5-byte header
-// (CdrWriter::with_prefix) and patches the header in place: one pass over
-// the bytes, no re-wrapping copy.
-
-Bytes encode_hello(const HelloMsg& m);
-Bytes encode_join(const GroupMsg& m);
-Bytes encode_leave(const GroupMsg& m);
-Bytes encode_mcast(const McastMsg& m);
-Bytes encode_deliver(const DeliverMsg& m);
-/// The delivery of a stamped kData message, encoded straight from it (the
-/// daemon's per-member hop; same bytes as the DeliverMsg overload).
-Bytes encode_deliver(const OrderedMsg& m);
-Bytes encode_view(const ViewMsg& m);
-Bytes encode_peer_hello(const PeerHelloMsg& m);
-Bytes encode_submit(const OrderedMsg& m);   // opcode kSubmit
-Bytes encode_ordered(const OrderedMsg& m);  // opcode kOrdered
-Bytes encode_heartbeat(const HeartbeatMsg& m);
-Bytes encode_rejoin(const RejoinMsg& m);
-Bytes encode_state_sync(const StateSyncMsg& m);
-Bytes encode_bridge(const BridgeMsg& m);
-Bytes encode_alive_set(const AliveSetMsg& m);
-Bytes encode_seq_watermark(const SeqWatermarkMsg& m);
 
 enum class WireErr { kTruncated, kMalformed, kUnknownOp };
 
@@ -249,19 +269,37 @@ class Frame {
 template <typename T>
 using WireResult = Expected<T, WireErr>;
 
-WireResult<HelloMsg> decode_hello(const Frame& frame);
-WireResult<GroupMsg> decode_group(const Frame& frame);
-WireResult<McastMsg> decode_mcast(const Frame& frame);
-WireResult<DeliverMsg> decode_deliver(const Frame& frame);
-WireResult<ViewMsg> decode_view(const Frame& frame);
-WireResult<PeerHelloMsg> decode_peer_hello(const Frame& frame);
-WireResult<OrderedMsg> decode_ordered_like(const Frame& frame);
-WireResult<HeartbeatMsg> decode_heartbeat(const Frame& frame);
-WireResult<RejoinMsg> decode_rejoin(const Frame& frame);
-WireResult<StateSyncMsg> decode_state_sync(const Frame& frame);
-WireResult<BridgeMsg> decode_bridge(const Frame& frame);
-WireResult<AliveSetMsg> decode_alive_set(const Frame& frame);
-WireResult<SeqWatermarkMsg> decode_seq_watermark(const Frame& frame);
+// ---- encoding / decoding ----
+//
+// encode() writes the CDR body straight after a reserved 5-byte header
+// (CdrWriter::with_prefix) and patches the header in place: one pass over
+// the bytes, no re-wrapping copy. The opcode defaults to the message's
+// kOp; GroupMsg and OrderedMsg serve two opcodes each and take it as an
+// argument.
+
+/// Fills in a frame writer's reserved header (u32 LE length, opcode).
+Bytes finish_frame(giop::CdrWriter& w, Op op);
+
+template <typename T>
+Bytes encode(const T& m, Op op = T::kOp) {
+  giop::CdrWriter w = giop::CdrWriter::with_prefix(Frame::kHeaderSize);
+  w.reserve(Frame::kHeaderSize + giop::size_hint(m));
+  giop::encode(w, m);
+  return finish_frame(w, op);
+}
+
+/// The delivery of a stamped kData message, encoded straight from it (the
+/// daemon's per-member hop; same bytes as encode(DeliverMsg)).
+Bytes encode_deliver(const OrderedMsg& m);
+
+/// Decodes a frame's body as a T; kMalformed if it is truncated or invalid.
+template <typename T>
+WireResult<T> decode(const Frame& frame) {
+  giop::CdrReader r(frame.body(), giop::ByteOrder::kLittleEndian);
+  T m;
+  if (!giop::decode(r, m)) return make_unexpected(WireErr::kMalformed);
+  return m;
+}
 
 // ---- frame batching ----
 //

@@ -66,6 +66,15 @@ struct IOR {
 void encode_ior(CdrWriter& w, const IOR& ior);
 CdrResult<IOR> decode_ior(CdrReader& r);
 
+/// Codec hooks (giop/codec.h): a message field of type IOR travels in the
+/// encode_ior layout.
+inline void codec_write(CdrWriter& w, const IOR& ior) { encode_ior(w, ior); }
+inline bool codec_read(CdrReader& r, IOR& ior) {
+  auto v = decode_ior(r);
+  if (v) ior = std::move(v).value();
+  return v.ok();
+}
+
 /// The CORBA system exceptions the paper's experiments observe.
 enum class SysExKind : std::uint32_t {
   kCommFailure = 0,   // CORBA::COMM_FAILURE — connection died mid-call

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "common/types.h"
 
@@ -26,6 +27,8 @@ struct Endpoint {
 
   std::string host;
   std::uint16_t port = 0;
+
+  static constexpr auto kFields = std::tuple{&Endpoint::host, &Endpoint::port};
 
   friend bool operator==(const Endpoint&, const Endpoint&) = default;
 };

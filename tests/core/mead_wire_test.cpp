@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "../fnv64.h"
@@ -69,56 +70,56 @@ TEST(FailoverFrameTest, SplitsCleanlyFromPiggybackedStream) {
 
 TEST(CtrlMsgTest, AnnounceRoundTrip) {
   const Announce a{"replica/1", net::Endpoint{"node1", 20001}, test_ior()};
-  auto msg = decode_ctrl(encode_announce(a));
+  auto msg = decode_ctrl(encode_ctrl(a));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kAnnounce);
-  ASSERT_TRUE(msg->announce.has_value());
-  EXPECT_EQ(*msg->announce, a);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kAnnounce);
+  ASSERT_TRUE(std::holds_alternative<Announce>(*msg));
+  EXPECT_EQ(std::get<Announce>(*msg), a);
 }
 
 TEST(CtrlMsgTest, ListingRoundTrip) {
   Listing l;
   l.entries.push_back(Announce{"r1", net::Endpoint{"node1", 1}, test_ior("node1")});
   l.entries.push_back(Announce{"r2", net::Endpoint{"node2", 2}, test_ior("node2")});
-  auto msg = decode_ctrl(encode_listing(l));
+  auto msg = decode_ctrl(encode_ctrl(l));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kListing);
-  ASSERT_TRUE(msg->listing.has_value());
-  EXPECT_EQ(*msg->listing, l);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kListing);
+  ASSERT_TRUE(std::holds_alternative<Listing>(*msg));
+  EXPECT_EQ(std::get<Listing>(*msg), l);
 }
 
 TEST(CtrlMsgTest, EmptyListingRoundTrip) {
-  auto msg = decode_ctrl(encode_listing(Listing{}));
+  auto msg = decode_ctrl(encode_ctrl(Listing{}));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(msg->listing->entries.empty());
+  EXPECT_TRUE(std::get<Listing>(*msg).entries.empty());
 }
 
 TEST(CtrlMsgTest, LaunchRequestRoundTrip) {
   const LaunchRequest req{"replica/3", 0.82};
-  auto msg = decode_ctrl(encode_launch_request(req));
+  auto msg = decode_ctrl(encode_ctrl(req));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kLaunchRequest);
-  EXPECT_EQ(*msg->launch, req);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kLaunchRequest);
+  EXPECT_EQ(std::get<LaunchRequest>(*msg), req);
 }
 
 TEST(CtrlMsgTest, PrimaryQueryAnswerRoundTrip) {
   const PrimaryQuery q{"#reply/client/1", 42};
-  auto qm = decode_ctrl(encode_primary_query(q));
+  auto qm = decode_ctrl(encode_ctrl(q));
   ASSERT_TRUE(qm.has_value());
-  EXPECT_EQ(*qm->query, q);
+  EXPECT_EQ(std::get<PrimaryQuery>(*qm), q);
 
   const PrimaryAnswer a{"replica/2", net::Endpoint{"node2", 20002}, 42};
-  auto am = decode_ctrl(encode_primary_answer(a));
+  auto am = decode_ctrl(encode_ctrl(a));
   ASSERT_TRUE(am.has_value());
-  EXPECT_EQ(*am->answer, a);
-  EXPECT_EQ(am->answer->nonce, 42u);
+  EXPECT_EQ(std::get<PrimaryAnswer>(*am), a);
+  EXPECT_EQ(std::get<PrimaryAnswer>(*am).nonce, 42u);
 }
 
 TEST(CtrlMsgTest, StateTransferRoundTrip) {
   const StateTransfer st{"replica/1", 7, Bytes{1, 2, 3}};
-  auto msg = decode_ctrl(encode_state(st));
+  auto msg = decode_ctrl(encode_ctrl(st));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(*msg->state, st);
+  EXPECT_EQ(std::get<StateTransfer>(*msg), st);
 }
 
 TEST(CtrlMsgTest, RejectsEmptyPayload) {
@@ -131,7 +132,7 @@ TEST(CtrlMsgTest, RejectsUnknownKind) {
 }
 
 TEST(CtrlMsgTest, RejectsTruncatedBody) {
-  Bytes frame = encode_announce(
+  Bytes frame = encode_ctrl(
       Announce{"replica/1", net::Endpoint{"node1", 20001}, test_ior()});
   frame.resize(frame.size() / 2);
   EXPECT_FALSE(decode_ctrl(frame).has_value());
@@ -143,11 +144,11 @@ TEST(CtrlMsgTest, ReadSetRoundTrip) {
   rs.primary = "replica/1";
   rs.entries.push_back(Announce{"r1", net::Endpoint{"node1", 1}, test_ior("node1")});
   rs.entries.push_back(Announce{"r2", net::Endpoint{"node2", 2}, test_ior("node2")});
-  auto msg = decode_ctrl(encode_read_set(rs));
+  auto msg = decode_ctrl(encode_ctrl(rs));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kReadSet);
-  ASSERT_TRUE(msg->read_set.has_value());
-  EXPECT_EQ(*msg->read_set, rs);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kReadSet);
+  ASSERT_TRUE(std::holds_alternative<ReadSet>(*msg));
+  EXPECT_EQ(std::get<ReadSet>(*msg), rs);
 }
 
 TEST(CtrlMsgTest, ReadSetDeltaRoundTrip) {
@@ -158,11 +159,11 @@ TEST(CtrlMsgTest, ReadSetDeltaRoundTrip) {
   d.removed = {"replica/1", "replica/3"};
   d.added.push_back(Announce{"replica/4", net::Endpoint{"node4", 4},
                              test_ior("node4")});
-  auto msg = decode_ctrl(encode_read_set_delta(d));
+  auto msg = decode_ctrl(encode_ctrl(d));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kReadSetDelta);
-  ASSERT_TRUE(msg->read_set_delta.has_value());
-  EXPECT_EQ(*msg->read_set_delta, d);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kReadSetDelta);
+  ASSERT_TRUE(std::holds_alternative<ReadSetDelta>(*msg));
+  EXPECT_EQ(std::get<ReadSetDelta>(*msg), d);
 }
 
 TEST(CtrlMsgTest, EmptyReadSetDeltaRoundTrip) {
@@ -172,12 +173,12 @@ TEST(CtrlMsgTest, EmptyReadSetDeltaRoundTrip) {
   d.base_version = 1;
   d.version = 2;
   d.primary = "replica/2";
-  auto msg = decode_ctrl(encode_read_set_delta(d));
+  auto msg = decode_ctrl(encode_ctrl(d));
   ASSERT_TRUE(msg.has_value());
-  ASSERT_TRUE(msg->read_set_delta.has_value());
-  EXPECT_TRUE(msg->read_set_delta->removed.empty());
-  EXPECT_TRUE(msg->read_set_delta->added.empty());
-  EXPECT_EQ(msg->read_set_delta->primary, "replica/2");
+  ASSERT_TRUE(std::holds_alternative<ReadSetDelta>(*msg));
+  EXPECT_TRUE(std::get<ReadSetDelta>(*msg).removed.empty());
+  EXPECT_TRUE(std::get<ReadSetDelta>(*msg).added.empty());
+  EXPECT_EQ(std::get<ReadSetDelta>(*msg).primary, "replica/2");
 }
 
 TEST(CtrlMsgTest, RejectsTruncatedReadSetDelta) {
@@ -187,7 +188,7 @@ TEST(CtrlMsgTest, RejectsTruncatedReadSetDelta) {
   d.primary = "replica/2";
   d.added.push_back(Announce{"replica/4", net::Endpoint{"node4", 4},
                              test_ior("node4")});
-  Bytes frame = encode_read_set_delta(d);
+  Bytes frame = encode_ctrl(d);
   for (std::size_t cut : {std::size_t{1}, frame.size() / 2}) {
     Bytes t(frame.begin(), frame.end() - static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(decode_ctrl(t).has_value()) << "cut=" << cut;
@@ -206,11 +207,11 @@ TEST(CtrlMsgTest, CkptDeltaRoundTrip) {
   c.checkpoint.digest = 0xFEEDFACEull;
   c.value_pad = 32;
   c.checkpoint.entries = {{3, 111}, {9, 222}, {14, 333}};
-  auto msg = decode_ctrl(encode_ckpt_delta(c));
+  auto msg = decode_ctrl(encode_ctrl(c));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kCkptDelta);
-  ASSERT_TRUE(msg->ckpt_delta.has_value());
-  EXPECT_EQ(*msg->ckpt_delta, c);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kCkptDelta);
+  ASSERT_TRUE(std::holds_alternative<CkptDelta>(*msg));
+  EXPECT_EQ(std::get<CkptDelta>(*msg), c);
 }
 
 TEST(CtrlMsgTest, CkptBaseWithNonceRoundTrip) {
@@ -224,21 +225,21 @@ TEST(CtrlMsgTest, CkptBaseWithNonceRoundTrip) {
   c.checkpoint.applied = 400;
   c.checkpoint.digest = 42;
   c.checkpoint.entries = {{0, 1}, {1, 2}};
-  auto msg = decode_ctrl(encode_ckpt_delta(c));
+  auto msg = decode_ctrl(encode_ctrl(c));
   ASSERT_TRUE(msg.has_value());
-  ASSERT_TRUE(msg->ckpt_delta.has_value());
-  EXPECT_TRUE(msg->ckpt_delta->checkpoint.is_base);
-  EXPECT_EQ(msg->ckpt_delta->nonce, c.nonce);
-  EXPECT_EQ(*msg->ckpt_delta, c);
+  ASSERT_TRUE(std::holds_alternative<CkptDelta>(*msg));
+  EXPECT_TRUE(std::get<CkptDelta>(*msg).checkpoint.is_base);
+  EXPECT_EQ(std::get<CkptDelta>(*msg).nonce, c.nonce);
+  EXPECT_EQ(std::get<CkptDelta>(*msg), c);
 }
 
 TEST(CtrlMsgTest, CkptRequestRoundTrip) {
   const CkptRequest req{"replica/4", 0xFACEull, 6};
-  auto msg = decode_ctrl(encode_ckpt_request(req));
+  auto msg = decode_ctrl(encode_ctrl(req));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kCkptRequest);
-  ASSERT_TRUE(msg->ckpt_request.has_value());
-  EXPECT_EQ(*msg->ckpt_request, req);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kCkptRequest);
+  ASSERT_TRUE(std::holds_alternative<CkptRequest>(*msg));
+  EXPECT_EQ(std::get<CkptRequest>(*msg), req);
 }
 
 TEST(CtrlMsgTest, LogReplayRoundTrip) {
@@ -248,11 +249,11 @@ TEST(CtrlMsgTest, LogReplayRoundTrip) {
   lr.applied = 450;
   lr.digest = 0xABCDull;
   lr.entries = {441, 442, 443, 444, 445, 446, 447, 448, 449, 450};
-  auto msg = decode_ctrl(encode_log_replay(lr));
+  auto msg = decode_ctrl(encode_ctrl(lr));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kLogReplay);
-  ASSERT_TRUE(msg->log_replay.has_value());
-  EXPECT_EQ(*msg->log_replay, lr);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kLogReplay);
+  ASSERT_TRUE(std::holds_alternative<LogReplay>(*msg));
+  EXPECT_EQ(std::get<LogReplay>(*msg), lr);
 }
 
 TEST(CtrlMsgTest, EmptyLogReplayRoundTrip) {
@@ -263,20 +264,20 @@ TEST(CtrlMsgTest, EmptyLogReplayRoundTrip) {
   lr.nonce = 7;
   lr.applied = 100;
   lr.digest = 11;
-  auto msg = decode_ctrl(encode_log_replay(lr));
+  auto msg = decode_ctrl(encode_ctrl(lr));
   ASSERT_TRUE(msg.has_value());
-  ASSERT_TRUE(msg->log_replay.has_value());
-  EXPECT_TRUE(msg->log_replay->entries.empty());
-  EXPECT_EQ(*msg->log_replay, lr);
+  ASSERT_TRUE(std::holds_alternative<LogReplay>(*msg));
+  EXPECT_TRUE(std::get<LogReplay>(*msg).entries.empty());
+  EXPECT_EQ(std::get<LogReplay>(*msg), lr);
 }
 
 TEST(CtrlMsgTest, ReadSetNackRoundTrip) {
   const ReadSetNack nack{"SvcB", 17};
-  auto msg = decode_ctrl(encode_read_set_nack(nack));
+  auto msg = decode_ctrl(encode_ctrl(nack));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->kind, CtrlKind::kReadSetNack);
-  ASSERT_TRUE(msg->read_set_nack.has_value());
-  EXPECT_EQ(*msg->read_set_nack, nack);
+  EXPECT_EQ(kind_of(*msg), CtrlKind::kReadSetNack);
+  ASSERT_TRUE(std::holds_alternative<ReadSetNack>(*msg));
+  EXPECT_EQ(std::get<ReadSetNack>(*msg), nack);
 }
 
 TEST(CtrlMsgTest, RejectsTruncatedStateFrames) {
@@ -290,8 +291,8 @@ TEST(CtrlMsgTest, RejectsTruncatedStateFrames) {
   lr.member = "replica/1";
   lr.entries = {1, 2, 3};
   for (const Bytes& frame :
-       {encode_ckpt_delta(c), encode_ckpt_request(CkptRequest{"r", 1, 0}),
-        encode_log_replay(lr), encode_read_set_nack(ReadSetNack{"s", 2})}) {
+       {encode_ctrl(c), encode_ctrl(CkptRequest{"r", 1, 0}),
+        encode_ctrl(lr), encode_ctrl(ReadSetNack{"s", 2})}) {
     for (std::size_t cut : {std::size_t{1}, frame.size() / 2}) {
       Bytes t(frame.begin(), frame.end() - static_cast<std::ptrdiff_t>(cut));
       EXPECT_FALSE(decode_ctrl(t).has_value()) << "cut=" << cut;
@@ -330,8 +331,7 @@ std::vector<std::pair<std::string, Bytes>> encoder_samples() {
   rs.version = 5;
   rs.primary = "replica/1";
   rs.entries = {a1, a2};
-  ReadSet qs = rs;
-  qs.catching_up = {"replica/22"};
+  const QuorumSet qs{rs, {"replica/22"}};
   ReadSetDelta d;
   d.base_version = 4;
   d.version = 5;
@@ -356,36 +356,36 @@ std::vector<std::pair<std::string, Bytes>> encoder_samples() {
   return {
       {"failover", encode_failover_frame(
                        FailoverMsg{net::Endpoint{"node2", 20002}, "r/2"})},
-      {"announce", encode_announce(a1)},
-      {"read_set", encode_read_set(rs)},
-      {"read_set_delta", encode_read_set_delta(d)},
-      {"listing", encode_listing(listing)},
-      {"launch_request", encode_launch_request(LaunchRequest{"replica/1", 0.8125})},
-      {"primary_query", encode_primary_query(PrimaryQuery{"reply/client/1", 7})},
-      {"primary_answer", encode_primary_answer(PrimaryAnswer{
+      {"announce", encode_ctrl(a1)},
+      {"read_set", encode_ctrl(rs)},
+      {"read_set_delta", encode_ctrl(d)},
+      {"listing", encode_ctrl(listing)},
+      {"launch_request", encode_ctrl(LaunchRequest{"replica/1", 0.8125})},
+      {"primary_query", encode_ctrl(PrimaryQuery{"reply/client/1", 7})},
+      {"primary_answer", encode_ctrl(PrimaryAnswer{
                              "replica/2", net::Endpoint{"node2", 20002}, 7})},
-      {"state", encode_state(StateTransfer{"replica/1", 3, Bytes{1, 2, 3, 4, 5}})},
-      {"node_crash", encode_node_crash(NodeCrash{"node7"})},
-      {"launch_failed", encode_launch_failed(LaunchFailed{"SvcB", 4})},
-      {"ckpt_delta", encode_ckpt_delta(sample_ckpt(false, 32))},
-      {"ckpt_base", encode_ckpt_delta(sample_ckpt(true, 0))},
-      {"ckpt_odd_pad", encode_ckpt_delta(sample_ckpt(false, 5))},
-      {"ckpt_request", encode_ckpt_request(CkptRequest{"replica/4", 0xFACEull, 6})},
-      {"log_replay", encode_log_replay(lr)},
-      {"read_set_nack", encode_read_set_nack(ReadSetNack{"SvcB", 17})},
-      {"alive_epoch", encode_alive_epoch(ae)},
-      {"node_join", encode_node_join(NodeJoin{"node51"})},
-      {"retire", encode_retire(Retire{"SvcB", "replica/9"})},
-      {"usage_report", encode_usage_report(UsageReport{"replica/1", 0.625, 1234})},
-      {"handoff", encode_handoff(Handoff{"SvcB", "replica/1", "replica/4"})},
-      {"quorum_set", encode_quorum_set(qs)},
-      {"catchup_done", encode_catchup_done(CatchupDone{"SvcB", "replica/4"})},
-      {"reply_cache", encode_reply_cache(rc)},
+      {"state", encode_ctrl(StateTransfer{"replica/1", 3, Bytes{1, 2, 3, 4, 5}})},
+      {"node_crash", encode_ctrl(NodeCrash{"node7"})},
+      {"launch_failed", encode_ctrl(LaunchFailed{"SvcB", 4})},
+      {"ckpt_delta", encode_ctrl(sample_ckpt(false, 32))},
+      {"ckpt_base", encode_ctrl(sample_ckpt(true, 0))},
+      {"ckpt_odd_pad", encode_ctrl(sample_ckpt(false, 5))},
+      {"ckpt_request", encode_ctrl(CkptRequest{"replica/4", 0xFACEull, 6})},
+      {"log_replay", encode_ctrl(lr)},
+      {"read_set_nack", encode_ctrl(ReadSetNack{"SvcB", 17})},
+      {"alive_epoch", encode_ctrl(ae)},
+      {"node_join", encode_ctrl(NodeJoin{"node51"})},
+      {"retire", encode_ctrl(Retire{"SvcB", "replica/9"})},
+      {"usage_report", encode_ctrl(UsageReport{"replica/1", 0.625, 1234})},
+      {"handoff", encode_ctrl(Handoff{"SvcB", "replica/1", "replica/4"})},
+      {"quorum_set", encode_ctrl(qs)},
+      {"catchup_done", encode_ctrl(CatchupDone{"SvcB", "replica/4"})},
+      {"reply_cache", encode_ctrl(rc)},
   };
 }
 
 TEST(CtrlMsgTest, CkptDeltaTruncatedAtEveryByteIsRejected) {
-  const Bytes frame = encode_ckpt_delta(sample_ckpt(false, 32));
+  const Bytes frame = encode_ctrl(sample_ckpt(false, 32));
   ASSERT_TRUE(decode_ctrl(frame).has_value());
   for (std::size_t len = 0; len < frame.size(); ++len) {
     const Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
@@ -398,17 +398,30 @@ TEST(CtrlMsgTest, CkptDeltaHugeEntryCountIsRejectedWithoutReserving) {
   // try to reserve ~4G entries first.
   CkptDelta c = sample_ckpt(true, 0);
   c.checkpoint.entries.clear();
-  Bytes frame = encode_ckpt_delta(c);
+  Bytes frame = encode_ctrl(c);
   ASSERT_GE(frame.size(), 4u);
   for (std::size_t i = frame.size() - 4; i < frame.size(); ++i) frame[i] = 0xFF;
   EXPECT_FALSE(decode_ctrl(frame).has_value());
 }
 
+TEST(CtrlMsgTest, CkptDeltaRejectsNonBooleanIsBase) {
+  // is_base travels as one byte and, like kBridge's `on`, must be 0 or 1.
+  CkptDelta c = sample_ckpt(true, 0);
+  const Bytes base = encode_ctrl(c);
+  c.checkpoint.is_base = false;
+  Bytes bad = encode_ctrl(c);
+  std::size_t at = 0;
+  while (at < bad.size() && bad[at] == base[at]) ++at;
+  ASSERT_LT(at, bad.size());
+  bad[at] = 2;
+  EXPECT_FALSE(decode_ctrl(bad).has_value());
+}
+
 TEST(CtrlMsgTest, PeekKind) {
   EXPECT_FALSE(peek_ctrl_kind(Bytes{}).has_value());
-  EXPECT_EQ(peek_ctrl_kind(encode_ckpt_delta(sample_ckpt(true, 0))),
+  EXPECT_EQ(peek_ctrl_kind(encode_ctrl(sample_ckpt(true, 0))),
             CtrlKind::kCkptDelta);
-  EXPECT_EQ(peek_ctrl_kind(encode_node_join(NodeJoin{"n"})), CtrlKind::kNodeJoin);
+  EXPECT_EQ(peek_ctrl_kind(encode_ctrl(NodeJoin{"n"})), CtrlKind::kNodeJoin);
 }
 
 TEST(CtrlMsgTest, CkptFromStoredCheckpointMatchesCkptDelta) {
@@ -416,7 +429,56 @@ TEST(CtrlMsgTest, CkptFromStoredCheckpointMatchesCkptDelta) {
   // those of the equivalent CkptDelta message.
   const CkptDelta c = sample_ckpt(false, 32);
   EXPECT_EQ(encode_ckpt_delta(c.member, c.nonce, c.value_pad, c.checkpoint),
-            encode_ckpt_delta(c));
+            encode_ctrl(c));
+}
+
+// ---- corrupt sequence counts ----
+//
+// A sequence count of 0xFFFFFFFF must be rejected on the bytes actually
+// present, never turned into a ~4G-element reserve (std::bad_alloc).
+
+/// `frame` with the u32 that ends `from_end` bytes before its end set to
+/// 0xFFFFFFFF.
+Bytes over_count(Bytes frame, std::size_t from_end) {
+  const std::size_t at = frame.size() - from_end;
+  for (std::size_t i = at; i < at + 4; ++i) frame[i] = 0xFF;
+  return frame;
+}
+
+void expect_rejected(const Bytes& frame) {
+  EXPECT_NO_THROW(EXPECT_FALSE(decode_ctrl(frame).has_value()));
+}
+
+TEST(CtrlOverCountTest, Listing) {
+  expect_rejected(over_count(encode_ctrl(Listing{}), 4));
+}
+
+TEST(CtrlOverCountTest, ReadSet) {
+  expect_rejected(over_count(encode_ctrl(ReadSet{}), 4));
+}
+
+TEST(CtrlOverCountTest, ReadSetDeltaRemovedAndAdded) {
+  const Bytes frame = encode_ctrl(ReadSetDelta{});
+  expect_rejected(over_count(frame, 8));  // removed
+  expect_rejected(over_count(frame, 4));  // added
+}
+
+TEST(CtrlOverCountTest, LogReplay) {
+  expect_rejected(over_count(encode_ctrl(LogReplay{}), 4));
+}
+
+TEST(CtrlOverCountTest, AliveEpoch) {
+  expect_rejected(over_count(encode_ctrl(AliveEpoch{}), 4));
+}
+
+TEST(CtrlOverCountTest, QuorumSetEntriesAndCatchingUp) {
+  const Bytes frame = encode_ctrl(QuorumSet{});
+  expect_rejected(over_count(frame, 8));  // entries
+  expect_rejected(over_count(frame, 4));  // catching_up
+}
+
+TEST(CtrlOverCountTest, ReplyCache) {
+  expect_rejected(over_count(encode_ctrl(ReplyCache{}), 4));
 }
 
 TEST(CtrlDigestTest, EncoderOutputIsByteStable) {

@@ -118,7 +118,7 @@ TEST_F(RmWorld, ProactiveLaunchRequestSpawnsSpare) {
   // replica/1's FT manager announces impending death.
   auto shout = [](gc::GcClient& c) -> sim::Task<void> {
     (void)co_await c.multicast(control_group("TimeOfDay"),
-                               encode_launch_request(LaunchRequest{"replica/1", 0.82}));
+                               encode_ctrl(LaunchRequest{"replica/1", 0.82}));
   };
   auto requester = std::make_unique<gc::GcClient>(
       *replicas_[0].proc, "ft/replica/1",
@@ -144,7 +144,7 @@ TEST_F(RmWorld, AnticipatedDeathDoesNotDoubleLaunch) {
   auto boot = [](gc::GcClient& c) -> sim::Task<void> { (void)co_await c.connect(); };
   auto shout = [](gc::GcClient& c) -> sim::Task<void> {
     (void)co_await c.multicast(control_group("TimeOfDay"),
-                               encode_launch_request(LaunchRequest{"replica/1", 0.85}));
+                               encode_ctrl(LaunchRequest{"replica/1", 0.85}));
   };
   sim_.spawn(boot(*requester));
   sim_.run_for(milliseconds(10));
@@ -172,7 +172,7 @@ TEST_F(RmWorld, DuplicateLaunchRequestsCoalesce) {
     for (int i = 0; i < 3; ++i) {
       (void)co_await c.multicast(
           control_group("TimeOfDay"),
-          encode_launch_request(LaunchRequest{"replica/1", 0.82}));
+          encode_ctrl(LaunchRequest{"replica/1", 0.82}));
     }
   };
   sim_.spawn(boot(*requester));
@@ -252,7 +252,7 @@ TEST_F(RmWorld, LaunchRequestRoutedByControlGroup) {
   auto shout = [](gc::GcClient& c) -> sim::Task<void> {
     (void)co_await c.multicast(
         control_group("Beta"),
-        encode_launch_request(LaunchRequest{"Beta/replica/1", 0.83}));
+        encode_ctrl(LaunchRequest{"Beta/replica/1", 0.83}));
   };
   sim_.spawn(boot(*requester));
   sim_.run_for(milliseconds(10));

@@ -74,7 +74,7 @@ class RmFailoverWorld : public ::testing::Test {
       cfg.groups = {GroupTarget{"TimeOfDay", 3}};
       cfg.launch_delay = launch_delay;
       cfg.self_supervise = true;
-      cfg.readmit_retired = readmit;
+      cfg.readmit = readmit;
       rm_procs_.push_back(net_.spawn_process(hosts_[i], cfg.member));
       rms_.push_back(std::make_unique<RecoveryManager>(
           rm_procs_.back(), cfg,
@@ -217,7 +217,7 @@ TEST_F(RmFailoverWorld, ActingCrashBetweenDoomAndDeathNoDoubleLaunch) {
   auto shout = [](gc::GcClient& c) -> sim::Task<void> {
     (void)co_await c.multicast(
         control_group("TimeOfDay"),
-        encode_launch_request(LaunchRequest{"replica/1", 0.82}));
+        encode_ctrl(LaunchRequest{"replica/1", 0.82}));
   };
   sim_.spawn(boot(*requester));
   sim_.run_for(milliseconds(10));

@@ -17,23 +17,23 @@ Frame batch_of(const Bytes& body) { return Frame(wrap_frame_batch(body)); }
 
 TEST(GcWireTest, HelloRoundTrip) {
   LenFramer f;
-  f.feed(encode_hello(HelloMsg{"replica/node1/1"}));
+  f.feed(encode(HelloMsg{"replica/node1/1"}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->op(), Op::kHello);
-  auto m = decode_hello(*frame);
+  auto m = decode<HelloMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->name, "replica/node1/1");
 }
 
 TEST(GcWireTest, JoinLeaveRoundTrip) {
   LenFramer f;
-  f.feed(encode_join(GroupMsg{"TimeOfDay-servers"}));
-  f.feed(encode_leave(GroupMsg{"TimeOfDay-servers"}));
+  f.feed(encode(GroupMsg{"TimeOfDay-servers"}, Op::kJoin));
+  f.feed(encode(GroupMsg{"TimeOfDay-servers"}, Op::kLeave));
   auto j = f.next();
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->op(), Op::kJoin);
-  EXPECT_EQ(decode_group(*j)->group, "TimeOfDay-servers");
+  EXPECT_EQ(decode<GroupMsg>(*j)->group, "TimeOfDay-servers");
   auto l = f.next();
   ASSERT_TRUE(l.has_value());
   EXPECT_EQ(l->op(), Op::kLeave);
@@ -42,10 +42,10 @@ TEST(GcWireTest, JoinLeaveRoundTrip) {
 TEST(GcWireTest, McastRoundTrip) {
   Bytes payload{9, 8, 7};
   LenFramer f;
-  f.feed(encode_mcast(McastMsg{"g", payload}));
+  f.feed(encode(McastMsg{"g", payload}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_mcast(*frame);
+  auto m = decode<McastMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->group, "g");
   EXPECT_EQ(m->payload, payload);
@@ -53,10 +53,10 @@ TEST(GcWireTest, McastRoundTrip) {
 
 TEST(GcWireTest, DeliverRoundTrip) {
   LenFramer f;
-  f.feed(encode_deliver(DeliverMsg{"g", "sender-1", 42, Bytes{1, 2}}));
+  f.feed(encode(DeliverMsg{"g", "sender-1", 42, Bytes{1, 2}}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_deliver(*frame);
+  auto m = decode<DeliverMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->sender, "sender-1");
   EXPECT_EQ(m->seq, 42u);
@@ -65,10 +65,10 @@ TEST(GcWireTest, DeliverRoundTrip) {
 
 TEST(GcWireTest, ViewRoundTrip) {
   LenFramer f;
-  f.feed(encode_view(ViewMsg{"g", 7, {"a", "b", "c"}}));
+  f.feed(encode(ViewMsg{"g", 7, {"a", "b", "c"}}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  auto m = decode_view(*frame);
+  auto m = decode<ViewMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->view_id, 7u);
   EXPECT_EQ(m->members, (std::vector<std::string>{"a", "b", "c"}));
@@ -76,8 +76,8 @@ TEST(GcWireTest, ViewRoundTrip) {
 
 TEST(GcWireTest, EmptyViewRoundTrip) {
   LenFramer f;
-  f.feed(encode_view(ViewMsg{"g", 1, {}}));
-  auto m = decode_view(*f.next());
+  f.feed(encode(ViewMsg{"g", 1, {}}));
+  auto m = decode<ViewMsg>(*f.next());
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(m->members.empty());
 }
@@ -92,11 +92,11 @@ TEST(GcWireTest, OrderedRoundTrip) {
   o.member = "replica/2";
   o.payload = Bytes{0xFF};
   LenFramer f;
-  f.feed(encode_ordered(o));
+  f.feed(encode(o, Op::kOrdered));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->op(), Op::kOrdered);
-  auto m = decode_ordered_like(*frame);
+  auto m = decode<OrderedMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->seq, 100u);
   EXPECT_EQ(m->origin, 3u);
@@ -111,47 +111,49 @@ TEST(GcWireTest, SubmitUsesSubmitOpcode) {
   o.group = "g";
   o.member = "m";
   LenFramer f;
-  f.feed(encode_submit(o));
+  f.feed(encode(o, Op::kSubmit));
   EXPECT_EQ(f.next()->op(), Op::kSubmit);
 }
 
 TEST(GcWireTest, HeartbeatRoundTrip) {
   LenFramer f;
-  f.feed(encode_heartbeat(HeartbeatMsg{4}));
+  f.feed(encode(HeartbeatMsg{4}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(decode_heartbeat(*frame)->daemon_id, 4u);
+  EXPECT_EQ(decode<HeartbeatMsg>(*frame)->daemon_id, 4u);
 }
 
 TEST(GcWireTest, SeqWatermarkRoundTrip) {
   LenFramer f;
-  f.feed(encode_seq_watermark(SeqWatermarkMsg{3, 12345}));
+  f.feed(encode(SeqWatermarkMsg{3, 12345}));
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->op(), Op::kSeqWatermark);
-  auto m = decode_seq_watermark(*frame);
+  auto m = decode<SeqWatermarkMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->daemon_id, 3u);
   EXPECT_EQ(m->next_seq, 12345u);
 }
 
 TEST(GcWireTest, SeqWatermarkRejectsTruncated) {
-  Bytes whole = encode_seq_watermark(SeqWatermarkMsg{1, 7});
+  Bytes whole = encode(SeqWatermarkMsg{1, 7});
   whole.resize(whole.size() - 1);  // body one byte short
-  EXPECT_FALSE(decode_seq_watermark(Frame(whole)).ok());
+  EXPECT_FALSE(decode<SeqWatermarkMsg>(Frame(whole)).ok());
 }
 
 TEST(FrameBatchTest, RoundTripIdentity) {
   const std::vector<Bytes> frames = {
-      encode_heartbeat(HeartbeatMsg{2}),
-      encode_submit([] {
-        OrderedMsg o;
-        o.group = "g";
-        o.member = "m";
-        o.payload = Bytes{1, 2, 3};
-        return o;
-      }()),
-      encode_seq_watermark(SeqWatermarkMsg{0, 99}),
+      encode(HeartbeatMsg{2}),
+      encode(
+          [] {
+            OrderedMsg o;
+            o.group = "g";
+            o.member = "m";
+            o.payload = Bytes{1, 2, 3};
+            return o;
+          }(),
+          Op::kSubmit),
+      encode(SeqWatermarkMsg{0, 99}),
   };
   LenFramer f;
   f.feed(encode_frame_batch(frames));
@@ -164,7 +166,7 @@ TEST(FrameBatchTest, RoundTripIdentity) {
   EXPECT_EQ((*inner)[0].op(), Op::kHeartbeat);
   EXPECT_EQ((*inner)[1].op(), Op::kSubmit);
   EXPECT_EQ((*inner)[2].op(), Op::kSeqWatermark);
-  auto sub = decode_ordered_like((*inner)[1]);
+  auto sub = decode<OrderedMsg>((*inner)[1]);
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub->group, "g");
   EXPECT_EQ(sub->payload, (Bytes{1, 2, 3}));
@@ -177,7 +179,7 @@ TEST(FrameBatchTest, EmptyBatchIsMalformed) {
 }
 
 TEST(FrameBatchTest, TruncatedSubFrameRejected) {
-  Bytes payload = encode_heartbeat(HeartbeatMsg{1});
+  Bytes payload = encode(HeartbeatMsg{1});
   Bytes cut(payload.begin(), payload.end() - 2);
   auto r = decode_frame_batch(batch_of(cut));
   ASSERT_FALSE(r.ok());
@@ -191,7 +193,7 @@ TEST(FrameBatchTest, TruncatedSubFrameRejected) {
 }
 
 TEST(FrameBatchTest, UnknownSubOpRejected) {
-  Bytes payload = encode_heartbeat(HeartbeatMsg{1});
+  Bytes payload = encode(HeartbeatMsg{1});
   append_bytes(payload, Bytes{1, 0, 0, 0, 99});  // len 1, opcode 99
   auto r = decode_frame_batch(batch_of(payload));
   ASSERT_FALSE(r.ok());
@@ -199,7 +201,7 @@ TEST(FrameBatchTest, UnknownSubOpRejected) {
 }
 
 TEST(FrameBatchTest, NestedBatchRejected) {
-  const Bytes inner = encode_frame_batch({encode_heartbeat(HeartbeatMsg{1})});
+  const Bytes inner = encode_frame_batch({encode(HeartbeatMsg{1})});
   LenFramer f;
   f.feed(encode_frame_batch({inner}));
   auto outer = f.next();
@@ -212,10 +214,10 @@ TEST(FrameBatchTest, NestedBatchRejected) {
 TEST(FrameBatchTest, MixedVersionStreamKeepsFraming) {
   // A batch in the middle of a stream of plain frames: the framer hands
   // each top-level frame over intact, old and new ops side by side.
-  Bytes stream = encode_heartbeat(HeartbeatMsg{1});
-  append_bytes(stream, encode_frame_batch({encode_heartbeat(HeartbeatMsg{2}),
-                                           encode_heartbeat(HeartbeatMsg{3})}));
-  append_bytes(stream, encode_seq_watermark(SeqWatermarkMsg{1, 4}));
+  Bytes stream = encode(HeartbeatMsg{1});
+  append_bytes(stream, encode_frame_batch({encode(HeartbeatMsg{2}),
+                                           encode(HeartbeatMsg{3})}));
+  append_bytes(stream, encode(SeqWatermarkMsg{1, 4}));
   LenFramer f;
   f.feed(stream);
   EXPECT_EQ(f.next()->op(), Op::kHeartbeat);
@@ -229,8 +231,8 @@ TEST(FrameBatchTest, MixedVersionStreamKeepsFraming) {
 }
 
 TEST(LenFramerTest, FragmentedFramesReassemble) {
-  Bytes stream = encode_mcast(McastMsg{"group-a", Bytes(100, 1)});
-  append_bytes(stream, encode_heartbeat(HeartbeatMsg{1}));
+  Bytes stream = encode(McastMsg{"group-a", Bytes(100, 1)});
+  append_bytes(stream, encode(HeartbeatMsg{1}));
   for (int chunk : {1, 3, 7, 50}) {
     LenFramer f;
     int frames = 0;
@@ -248,7 +250,7 @@ TEST(LenFramerTest, FragmentedFramesReassemble) {
 TEST(LenFramerTest, WholeBufferFrameIsAdopted) {
   // One frame filling the whole fed buffer: the framer hands that very
   // buffer to the frame instead of copying it.
-  Bytes wire = encode_mcast(McastMsg{"g", Bytes(1000, 7)});
+  Bytes wire = encode(McastMsg{"g", Bytes(1000, 7)});
   const std::uint8_t* storage = wire.data();
   LenFramer f;
   f.feed(std::move(wire));
@@ -257,7 +259,7 @@ TEST(LenFramerTest, WholeBufferFrameIsAdopted) {
   EXPECT_EQ(frame->op(), Op::kMcast);
   EXPECT_EQ(frame->body().data(), storage + Frame::kHeaderSize);
   EXPECT_EQ(f.buffered(), 0u);
-  auto m = decode_mcast(*frame);
+  auto m = decode<McastMsg>(*frame);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->payload, Bytes(1000, 7));
   EXPECT_FALSE(f.next().has_value());
@@ -266,8 +268,8 @@ TEST(LenFramerTest, WholeBufferFrameIsAdopted) {
 TEST(LenFramerTest, LastFrameAfterConsumedPrefixIsAdopted) {
   // Two frames in one chunk: the first is copied out, the second (the
   // rest of the buffer) adopts it, body offset past the consumed prefix.
-  const Bytes first = encode_heartbeat(HeartbeatMsg{1});
-  const Bytes second = encode_deliver(DeliverMsg{"g", "s", 9, Bytes{4, 5}});
+  const Bytes first = encode(HeartbeatMsg{1});
+  const Bytes second = encode(DeliverMsg{"g", "s", 9, Bytes{4, 5}});
   Bytes chunk = first;
   append_bytes(chunk, second);
   const std::uint8_t* storage = chunk.data();
@@ -276,13 +278,13 @@ TEST(LenFramerTest, LastFrameAfterConsumedPrefixIsAdopted) {
   auto a = f.next();
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->op(), Op::kHeartbeat);
-  EXPECT_EQ(decode_heartbeat(*a)->daemon_id, 1u);
+  EXPECT_EQ(decode<HeartbeatMsg>(*a)->daemon_id, 1u);
   EXPECT_EQ(f.buffered(), second.size());
   auto b = f.next();
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->op(), Op::kDeliver);
   EXPECT_EQ(b->body().data(), storage + first.size() + Frame::kHeaderSize);
-  auto m = decode_deliver(*b);
+  auto m = decode<DeliverMsg>(*b);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->seq, 9u);
   EXPECT_EQ(m->payload, (Bytes{4, 5}));
@@ -293,9 +295,9 @@ TEST(LenFramerTest, LastFrameAfterConsumedPrefixIsAdopted) {
 TEST(LenFramerTest, FrameSplitAcrossTwoFeeds) {
   // The second feed completes a frame whose head is still buffered, and
   // also carries the head of the next one.
-  Bytes stream = encode_view(ViewMsg{"g", 3, {"a", "b"}});
+  Bytes stream = encode(ViewMsg{"g", 3, {"a", "b"}});
   const std::size_t first_len = stream.size();
-  append_bytes(stream, encode_peer_hello(PeerHelloMsg{6}));
+  append_bytes(stream, encode(PeerHelloMsg{6}));
   const std::size_t cut = first_len / 2;
   const std::size_t cut2 = first_len + 3;
   LenFramer f;
@@ -307,20 +309,20 @@ TEST(LenFramerTest, FrameSplitAcrossTwoFeeds) {
   auto v = f.next();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->op(), Op::kView);
-  EXPECT_EQ(decode_view(*v)->members, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(decode<ViewMsg>(*v)->members, (std::vector<std::string>{"a", "b"}));
   EXPECT_FALSE(f.next().has_value());
   EXPECT_EQ(f.buffered(), 3u);
   f.feed(Bytes(stream.begin() + static_cast<std::ptrdiff_t>(cut2), stream.end()));
   auto h = f.next();
   ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(decode_peer_hello(*h)->daemon_id, 6u);
+  EXPECT_EQ(decode<PeerHelloMsg>(*h)->daemon_id, 6u);
   EXPECT_EQ(f.buffered(), 0u);
   EXPECT_FALSE(f.corrupt());
 }
 
 TEST(LenFramerTest, TwoFramesInOneChunk) {
-  Bytes chunk = encode_join(GroupMsg{"alpha"});
-  append_bytes(chunk, encode_leave(GroupMsg{"beta"}));
+  Bytes chunk = encode(GroupMsg{"alpha"}, Op::kJoin);
+  append_bytes(chunk, encode(GroupMsg{"beta"}, Op::kLeave));
   LenFramer f;
   f.feed(std::move(chunk));
   auto j = f.next();
@@ -328,9 +330,9 @@ TEST(LenFramerTest, TwoFramesInOneChunk) {
   ASSERT_TRUE(j.has_value());
   ASSERT_TRUE(l.has_value());
   EXPECT_EQ(j->op(), Op::kJoin);
-  EXPECT_EQ(decode_group(*j)->group, "alpha");
+  EXPECT_EQ(decode<GroupMsg>(*j)->group, "alpha");
   EXPECT_EQ(l->op(), Op::kLeave);
-  EXPECT_EQ(decode_group(*l)->group, "beta");
+  EXPECT_EQ(decode<GroupMsg>(*l)->group, "beta");
   EXPECT_FALSE(f.next().has_value());
   EXPECT_EQ(f.buffered(), 0u);
 }
@@ -347,7 +349,7 @@ TEST(GcWireTest, DeliverFromOrderedMatchesDeliverMsg) {
     return m;
   }();
   EXPECT_EQ(encode_deliver(o),
-            encode_deliver(DeliverMsg{o.group, o.member, o.seq, o.payload}));
+            encode(DeliverMsg{o.group, o.member, o.seq, o.payload}));
 }
 
 TEST(LenFramerTest, BadOpcodePoisons) {
@@ -372,7 +374,48 @@ TEST(LenFramerTest, MalformedPayloadRejectedByDecoder) {
   f.feed(evil);
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());  // framing fine...
-  EXPECT_FALSE(decode_deliver(*frame).ok());  // ...content is not
+  EXPECT_FALSE(decode<DeliverMsg>(*frame).ok());  // ...content is not
+}
+
+// ---- corrupt sequence counts ----
+//
+// A sequence count of 0xFFFFFFFF must be rejected on the bytes actually
+// present, never turned into a ~4G-element reserve: std::bad_alloc would
+// escape the daemon's frame handler and end the whole simulation.
+
+/// `wire` with the u32 that ends `from_end` bytes before its end set to
+/// 0xFFFFFFFF.
+Bytes over_count(Bytes wire, std::size_t from_end) {
+  const std::size_t at = wire.size() - from_end;
+  for (std::size_t i = at; i < at + 4; ++i) wire[i] = 0xFF;
+  return wire;
+}
+
+template <typename T>
+void expect_rejected(const Bytes& wire) {
+  EXPECT_NO_THROW(EXPECT_FALSE(decode<T>(Frame(wire)).ok()));
+}
+
+TEST(GcWireOverCountTest, ViewMembers) {
+  expect_rejected<ViewMsg>(over_count(encode(ViewMsg{"g", 7, {}}), 4));
+}
+
+TEST(GcWireOverCountTest, StateSyncEverySequence) {
+  StateSyncMsg m;
+  m.next_seq = 9;
+  // groups (8 bytes from the end), alive (4)
+  expect_rejected<StateSyncMsg>(over_count(encode(m), 8));
+  expect_rejected<StateSyncMsg>(over_count(encode(m), 4));
+  // one snapshot: its members (12), its homes (8)
+  GroupSnapshot snap;
+  snap.group = "g";
+  m.groups = {snap};
+  expect_rejected<StateSyncMsg>(over_count(encode(m), 12));
+  expect_rejected<StateSyncMsg>(over_count(encode(m), 8));
+}
+
+TEST(GcWireOverCountTest, AliveSet) {
+  expect_rejected<AliveSetMsg>(over_count(encode(AliveSetMsg{{}}), 4));
 }
 
 // ---- byte stability ----
@@ -407,24 +450,24 @@ std::vector<std::pair<std::string, Bytes>> encoder_samples() {
   sync.groups.push_back(GroupSnapshot{});
   sync.alive = {0, 1, 2, 4};
   return {
-      {"hello", encode_hello(HelloMsg{"replica/node1/1"})},
-      {"join", encode_join(GroupMsg{"TimeOfDay-servers"})},
-      {"leave", encode_leave(GroupMsg{"g"})},
-      {"mcast", encode_mcast(McastMsg{"grp", payload})},
-      {"deliver", encode_deliver(DeliverMsg{"grp", "sender-1", 42, payload})},
-      {"view", encode_view(ViewMsg{"g", 7, {"a", "bb", "ccc"}})},
-      {"peer_hello", encode_peer_hello(PeerHelloMsg{3})},
-      {"submit", encode_submit(sample_ordered())},
-      {"ordered", encode_ordered(sample_ordered())},
-      {"heartbeat", encode_heartbeat(HeartbeatMsg{4})},
-      {"rejoin", encode_rejoin(RejoinMsg{1, 2, 3, 4})},
-      {"state_sync", encode_state_sync(sync)},
-      {"bridge", encode_bridge(BridgeMsg{5, true})},
-      {"alive_set", encode_alive_set(AliveSetMsg{{0, 2, 5}})},
-      {"seq_watermark", encode_seq_watermark(SeqWatermarkMsg{3, 12345})},
+      {"hello", encode(HelloMsg{"replica/node1/1"})},
+      {"join", encode(GroupMsg{"TimeOfDay-servers"}, Op::kJoin)},
+      {"leave", encode(GroupMsg{"g"}, Op::kLeave)},
+      {"mcast", encode(McastMsg{"grp", payload})},
+      {"deliver", encode(DeliverMsg{"grp", "sender-1", 42, payload})},
+      {"view", encode(ViewMsg{"g", 7, {"a", "bb", "ccc"}})},
+      {"peer_hello", encode(PeerHelloMsg{3})},
+      {"submit", encode(sample_ordered(), Op::kSubmit)},
+      {"ordered", encode(sample_ordered(), Op::kOrdered)},
+      {"heartbeat", encode(HeartbeatMsg{4})},
+      {"rejoin", encode(RejoinMsg{1, 2, 3, 4})},
+      {"state_sync", encode(sync)},
+      {"bridge", encode(BridgeMsg{5, true})},
+      {"alive_set", encode(AliveSetMsg{{0, 2, 5}})},
+      {"seq_watermark", encode(SeqWatermarkMsg{3, 12345})},
       {"frame_batch",
-       encode_frame_batch({encode_heartbeat(HeartbeatMsg{2}),
-                           encode_submit(sample_ordered())})},
+       encode_frame_batch({encode(HeartbeatMsg{2}),
+                           encode(sample_ordered(), Op::kSubmit)})},
   };
 }
 
