@@ -1,6 +1,5 @@
 #include "core/mead_wire.h"
 
-#include <algorithm>
 #include <array>
 
 namespace mead::core {
@@ -21,6 +20,70 @@ constexpr auto kCkptHeader = std::tuple{
     &state::Checkpoint::is_base,     &state::Checkpoint::applied,
     &state::Checkpoint::prev_digest, &state::Checkpoint::digest};
 
+using Entries = decltype(state::Checkpoint::entries);
+
+// Where an entry's key and value sit relative to its first byte, and how
+// many bytes it spans (alignment gaps and value_pad included).
+struct EntryLayout {
+  std::size_t key = 0;
+  std::size_t value = 0;
+  std::size_t size = 0;
+};
+
+// An entry is a CDR u32 key, a u64 value and `value_pad` zero bytes, so its
+// layout depends only on its start offset mod 8. Every entry ends 8-aligned
+// plus `value_pad`, so entries 1..n-1 all start at residue value_pad % 8
+// and share one layout; only entry 0 can differ.
+EntryLayout entry_layout(std::size_t start, std::uint32_t value_pad) {
+  const std::size_t key = giop::align_up(start, 4);
+  const std::size_t value = giop::align_up(key + 4, 8);
+  return {key - start, value - start, value + 8 + value_pad - start};
+}
+
+// The entry count, then every entry stored at its computed offset in one
+// zero-filled region: no per-field call, the padding written by the fill.
+void write_entries(CdrWriter& w, std::uint32_t value_pad,
+                   const Entries& entries) {
+  w.write_u32(static_cast<std::uint32_t>(entries.size()));
+  if (entries.empty()) return;
+  const EntryLayout first = entry_layout(w.offset(), value_pad);
+  const EntryLayout rest = entry_layout(value_pad % 8, value_pad);
+  std::uint8_t* p = w.extend(first.size + (entries.size() - 1) * rest.size);
+  EntryLayout at = first;
+  for (const auto& [key, value] : entries) {
+    giop::store_int(p + at.key, key, w.order());
+    giop::store_int(p + at.value, value, w.order());
+    p += at.size;
+    at = rest;
+  }
+}
+
+// Reads `n` entries after checking the whole region against the bytes
+// present, so a corrupt count fails before anything is allocated.
+bool read_entries(CdrReader& r, std::uint32_t value_pad, std::uint32_t n,
+                  Entries& entries) {
+  entries.clear();
+  if (n == 0) return true;
+  const EntryLayout first = entry_layout(r.offset(), value_pad);
+  const EntryLayout rest = entry_layout(value_pad % 8, value_pad);
+  const std::size_t left = r.remaining();
+  if (first.size > left || n - 1 > (left - first.size) / rest.size) {
+    return false;
+  }
+  auto region = r.view(first.size + (n - 1) * rest.size);
+  if (!region) return false;
+  entries.resize(n);
+  const std::uint8_t* p = region.value().data();
+  EntryLayout at = first;
+  for (auto& [key, value] : entries) {
+    key = giop::load_int<std::uint32_t>(p + at.key, r.order());
+    value = giop::load_int<std::uint64_t>(p + at.value, r.order());
+    p += at.size;
+    at = rest;
+  }
+  return true;
+}
+
 void write_ckpt(CdrWriter& w, std::string_view member, std::uint64_t nonce,
                 std::uint32_t value_pad, const state::Checkpoint& c) {
   // Header + per entry: u32 key, u64 value, value_pad bytes, alignment.
@@ -30,13 +93,7 @@ void write_ckpt(CdrWriter& w, std::string_view member, std::uint64_t nonce,
   w.write_u64(nonce);
   giop::encode_fields(w, c, kCkptHeader);
   w.write_u32(value_pad);
-  w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
-  const Bytes pad(value_pad, 0);
-  for (const auto& [key, value] : c.entries) {
-    w.write_u32(key);
-    w.write_u64(value);
-    if (value_pad > 0) w.write_raw(pad);
-  }
+  write_entries(w, value_pad, c.entries);
 }
 
 // One decoder per CtrlMsg alternative, indexed by kind - 1.
@@ -84,22 +141,10 @@ void codec_write(CdrWriter& w, const CkptDelta& m) {
 bool codec_read(CdrReader& r, CkptDelta& m) {
   state::Checkpoint& c = m.checkpoint;
   std::uint32_t n = 0;
-  if (!(giop::decode(r, m.member) && giop::decode(r, m.nonce) &&
-        giop::decode_fields(r, c, kCkptHeader) &&
-        giop::decode(r, m.value_pad) && giop::decode(r, n))) {
-    return false;
-  }
-  // Every entry takes at least 12 + value_pad bytes: a corrupt count
-  // cannot reserve more than the frame could hold.
-  const std::size_t min_entry = 12 + static_cast<std::size_t>(m.value_pad);
-  c.entries.reserve(std::min<std::size_t>(n, r.remaining() / min_entry));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto key = r.read_u32();
-    auto value = r.read_u64();
-    if (!key || !value || !r.skip(m.value_pad)) return false;
-    c.entries.emplace_back(key.value(), value.value());
-  }
-  return true;
+  return giop::decode(r, m.member) && giop::decode(r, m.nonce) &&
+         giop::decode_fields(r, c, kCkptHeader) &&
+         giop::decode(r, m.value_pad) && giop::decode(r, n) &&
+         read_entries(r, m.value_pad, n, c.entries);
 }
 
 Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
@@ -111,12 +156,12 @@ Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
   return out;
 }
 
-std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
+std::optional<CtrlKind> peek_ctrl_kind(std::span<const std::uint8_t> payload) {
   if (payload.empty()) return std::nullopt;
   return static_cast<CtrlKind>(payload[0]);
 }
 
-std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
+std::optional<CtrlMsg> decode_ctrl(std::span<const std::uint8_t> payload) {
   if (payload.empty() || payload[0] == 0 || payload[0] > kDecoders.size()) {
     return std::nullopt;
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -249,8 +250,9 @@ struct CkptDelta {
 
 /// Codec hooks: `value_pad` sits between the checkpoint header and the
 /// entries, and each entry is followed by that many padding bytes, so the
-/// layout is not a plain field list. Decoding skips the padding in place
-/// and reserves no more entries than the frame holds.
+/// layout is not a plain field list. The entries travel as one bulk region
+/// whose layout is computed once: decoding checks the region against the
+/// frame before allocating, then loads every entry in place.
 void codec_write(giop::CdrWriter& w, const CkptDelta& m);
 bool codec_read(giop::CdrReader& r, CkptDelta& m);
 
@@ -457,8 +459,10 @@ Bytes encode_ckpt_delta(std::string_view member, std::uint64_t nonce,
 /// for an empty payload. Subscribers use it to drop kinds they ignore (a
 /// checkpoint base is hundreds of KB) before paying for a full decode. The
 /// value is unchecked: an unknown kind still fails decode_ctrl.
-std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload);
+std::optional<CtrlKind> peek_ctrl_kind(std::span<const std::uint8_t> payload);
 
-std::optional<CtrlMsg> decode_ctrl(const Bytes& payload);
+/// Decodes a control payload in place (a received payload is a window onto
+/// its delivery frame; a Bytes converts too).
+std::optional<CtrlMsg> decode_ctrl(std::span<const std::uint8_t> payload);
 
 }  // namespace mead::core

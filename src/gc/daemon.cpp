@@ -678,10 +678,13 @@ void GcDaemon::handle_ordered(const OrderedMsg& m) {
 
 void GcDaemon::send_view(const std::string& group) {
   const GroupState& g = groups_[group];
-  const Bytes wire = encode(ViewMsg{group, g.view_id, g.members});
+  // Most daemons host no member of a given group: encode only once the
+  // first local member turns up.
+  Bytes wire;
   for (const auto& member : g.members) {
     auto fd = client_fds_.find(member);
     if (fd == client_fds_.end()) continue;
+    if (wire.empty()) wire = encode(ViewMsg{group, g.view_id, g.members});
     spawn_write(fd->second, wire);
   }
 }

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/types.h"
 
 namespace mead::gc {
@@ -43,7 +44,7 @@ struct Event {
   Kind kind = Kind::kMessage;
   std::string group;
   std::string sender;   // kMessage only
-  Bytes payload;        // kMessage only
+  SharedBytes payload;  // kMessage only; a window onto the delivery frame
   std::uint64_t seq = 0;
   View view;            // kView only
 };

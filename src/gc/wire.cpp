@@ -79,7 +79,7 @@ Bytes encode_frame_batch(const std::vector<Bytes>& frames) {
 // ---- decoding ----
 
 WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch) {
-  const std::span<const std::uint8_t> payload = batch.body();
+  const SharedBytes& payload = batch.body();
   std::vector<Frame> out;
   std::size_t pos = 0;
   while (pos < payload.size()) {
@@ -94,8 +94,7 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch) {
     if (static_cast<Op>(op) == Op::kFrameBatch) {  // batches never nest
       return make_unexpected(WireErr::kMalformed);
     }
-    const auto first = payload.begin() + static_cast<std::ptrdiff_t>(pos);
-    out.emplace_back(Bytes(first, first + 4 + len));
+    out.emplace_back(payload.window(pos, 4 + len));
     pos += 4 + len;
   }
   if (out.empty()) return make_unexpected(WireErr::kMalformed);
@@ -105,42 +104,51 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch) {
 // ---- framing ----
 
 void LenFramer::feed(Bytes chunk) {
-  if (head_ == buf_.size()) {  // nothing buffered: adopt the chunk
-    buf_ = std::move(chunk);
+  if (head_ == chunk_.size() && partial_.empty()) {  // nothing buffered
+    chunk_ = SharedBytes(std::move(chunk));
     head_ = 0;
     return;
   }
-  if (head_ > 0) {  // drop consumed frames; only a partial frame moves
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
+  if (head_ < chunk_.size()) {  // the chunk ended inside a frame
+    partial_.assign(chunk_.begin() + head_, chunk_.end());
   }
-  append_bytes(buf_, chunk);
+  chunk_ = SharedBytes();
+  head_ = 0;
+  append_bytes(partial_, chunk);
+}
+
+std::size_t LenFramer::whole_frame(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < 4) return 0;
+  const std::uint32_t len = read_len(bytes.data());
+  if (len == 0 || len > 16 * 1024 * 1024) {  // sanity cap
+    corrupt_ = true;
+    return 0;
+  }
+  if (bytes.size() < 4 + static_cast<std::size_t>(len)) return 0;
+  if (!valid_op(bytes[4])) {
+    corrupt_ = true;
+    return 0;
+  }
+  return 4 + static_cast<std::size_t>(len);
 }
 
 std::optional<Frame> LenFramer::next() {
   if (corrupt_) return std::nullopt;
-  const std::size_t avail = buf_.size() - head_;
-  if (avail < 4) return std::nullopt;
-  const std::uint32_t len = read_len(buf_.data() + head_);
-  if (len == 0 || len > 16 * 1024 * 1024) {  // sanity cap
-    corrupt_ = true;
-    return std::nullopt;
-  }
-  if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;
-  if (!valid_op(buf_[head_ + 4])) {
-    corrupt_ = true;
-    return std::nullopt;
-  }
-  const std::size_t end = head_ + 4 + len;
-  if (end == buf_.size()) {  // the last buffered frame takes the buffer
-    Frame f(std::move(buf_), head_);
-    buf_.clear();
+  if (head_ == chunk_.size()) {
+    // Split the collected bytes once they hold a whole frame.
+    if (partial_.empty() || whole_frame(partial_) == 0) return std::nullopt;
+    chunk_ = SharedBytes(std::move(partial_));
+    partial_.clear();
     head_ = 0;
-    return f;
   }
-  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-  Frame f(Bytes(first, first + 4 + len));
-  head_ = end;
+  const std::size_t n = whole_frame(chunk_.span().subspan(head_));
+  if (n == 0) return std::nullopt;
+  Frame f(chunk_.window(head_, n));
+  head_ += n;
+  if (head_ == chunk_.size()) {  // spent: its frames alone keep it alive
+    chunk_ = SharedBytes();
+    head_ = 0;
+  }
   return f;
 }
 

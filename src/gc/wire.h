@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/expected.h"
+#include "common/shared_bytes.h"
 #include "common/types.h"
 #include "giop/cdr.h"
 #include "giop/codec.h"
@@ -68,11 +69,16 @@ struct GroupMsg {  // kJoin / kLeave (client side): encode(m, op)
   static constexpr auto kFields = std::tuple{&GroupMsg::group};
 };
 
+// Payloads are SharedBytes: a decoded payload is a window onto the buffer
+// of the frame it arrived in, and moving it from message to message (a
+// Mcast into an OrderedMsg, a Deliver into an Event) copies no bytes.
+
 struct McastMsg {
   McastMsg() = default;
-  McastMsg(std::string g, Bytes p) : group(std::move(g)), payload(std::move(p)) {}
+  McastMsg(std::string g, SharedBytes p)
+      : group(std::move(g)), payload(std::move(p)) {}
   std::string group;
-  Bytes payload;
+  SharedBytes payload;
   static constexpr Op kOp = Op::kMcast;
   static constexpr auto kFields =
       std::tuple{&McastMsg::group, &McastMsg::payload};
@@ -80,12 +86,12 @@ struct McastMsg {
 
 struct DeliverMsg {
   DeliverMsg() = default;
-  DeliverMsg(std::string g, std::string s, std::uint64_t q, Bytes p)
+  DeliverMsg(std::string g, std::string s, std::uint64_t q, SharedBytes p)
       : group(std::move(g)), sender(std::move(s)), seq(q), payload(std::move(p)) {}
   std::string group;
   std::string sender;
   std::uint64_t seq = 0;
-  Bytes payload;
+  SharedBytes payload;
   static constexpr Op kOp = Op::kDeliver;
   static constexpr auto kFields =
       std::tuple{&DeliverMsg::group, &DeliverMsg::sender, &DeliverMsg::seq,
@@ -123,7 +129,7 @@ struct OrderedMsg {
   PayloadKind kind = PayloadKind::kData;
   std::string group;
   std::string member;  // sender (kData) or subject member (kJoin/kLeave)
-  Bytes payload;
+  SharedBytes payload;
   static constexpr auto kFields =
       std::tuple{&OrderedMsg::seq, &OrderedMsg::origin, &OrderedMsg::msg_id,
                  &OrderedMsg::kind, &OrderedMsg::group, &OrderedMsg::member,
@@ -238,32 +244,27 @@ struct SeqWatermarkMsg {
 
 enum class WireErr { kTruncated, kMalformed, kUnknownOp };
 
-/// One complete frame off the wire. It owns its bytes but exposes only the
-/// opcode and the CDR body, so no decoder ever handles the length prefix or
-/// the opcode byte (the body's CDR alignment is relative to its first byte).
+/// One complete frame off the wire: a window onto the buffer it arrived in
+/// (shared with the other frames of that read or batch) that exposes only
+/// the opcode and the CDR body, so no decoder ever handles the length
+/// prefix or the opcode byte (the body's CDR alignment is relative to its
+/// first byte).
 class Frame {
  public:
   /// Bytes before the body: u32 length + opcode.
   static constexpr std::size_t kHeaderSize = 5;
 
-  /// Adopts `wire`, which holds exactly one frame starting at `begin` and
-  /// running to the end; bytes before `begin` were consumed by earlier
-  /// frames and are never read. Requires at least kHeaderSize bytes from
-  /// `begin` (the framer checks this before constructing).
-  explicit Frame(Bytes wire, std::size_t begin = 0)
-      : op_(static_cast<Op>(wire.at(begin + 4))),
-        bytes_(std::move(wire)),
-        body_(begin + kHeaderSize) {}
+  /// `wire` holds exactly one frame, header included; it needs at least
+  /// kHeaderSize bytes (the framer checks this before constructing).
+  explicit Frame(SharedBytes wire)
+      : op_(static_cast<Op>(wire.at(4))), body_(wire.window(kHeaderSize)) {}
 
   [[nodiscard]] Op op() const { return op_; }
-  [[nodiscard]] std::span<const std::uint8_t> body() const {
-    return std::span<const std::uint8_t>(bytes_).subspan(body_);
-  }
+  [[nodiscard]] const SharedBytes& body() const { return body_; }
 
  private:
   Op op_;
-  Bytes bytes_;
-  std::size_t body_;
+  SharedBytes body_;
 };
 
 template <typename T>
@@ -293,6 +294,7 @@ Bytes encode(const T& m, Op op = T::kOp) {
 Bytes encode_deliver(const OrderedMsg& m);
 
 /// Decodes a frame's body as a T; kMalformed if it is truncated or invalid.
+/// A payload is decoded as a window onto the frame's buffer.
 template <typename T>
 WireResult<T> decode(const Frame& frame) {
   giop::CdrReader r(frame.body(), giop::ByteOrder::kLittleEndian);
@@ -314,15 +316,17 @@ WireResult<T> decode(const Frame& frame) {
 Bytes wrap_frame_batch(const Bytes& payload);
 /// Convenience for tests: encodes `frames` individually and wraps them.
 Bytes encode_frame_batch(const std::vector<Bytes>& frames);
-/// Splits a kFrameBatch frame's body back into frames. Rejects empty
-/// batches, truncated sub-frames (kTruncated), unknown sub-frame opcodes
-/// (kUnknownOp), and nested batches (kMalformed).
+/// Splits a kFrameBatch frame's body back into frames, each a window onto
+/// the batch's buffer. Rejects empty batches, truncated sub-frames
+/// (kTruncated), unknown sub-frame opcodes (kUnknownOp), and nested batches
+/// (kMalformed).
 WireResult<std::vector<Frame>> decode_frame_batch(const Frame& batch);
 
-/// Reassembles length-prefixed frames from a byte stream. Consumed frames
-/// advance an offset instead of erasing the buffer front; a fed chunk is
-/// adopted without copying when nothing is buffered, and a buffer holding
-/// exactly one remaining frame is handed over whole to that frame.
+/// Reassembles length-prefixed frames from a byte stream. A chunk fed to
+/// an empty framer is adopted without copying, and every whole frame in it
+/// is handed out as a window onto it. Only the bytes of an incomplete frame
+/// are copied: they collect in a private buffer until they hold a frame,
+/// and that buffer is then split the same way.
 class LenFramer {
  public:
   void feed(Bytes chunk);
@@ -330,11 +334,18 @@ class LenFramer {
   /// corrupt() permanently.
   std::optional<Frame> next();
   [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
+  [[nodiscard]] std::size_t buffered() const {
+    return chunk_.size() - head_ + partial_.size();
+  }
 
  private:
-  Bytes buf_;
-  std::size_t head_ = 0;  // consumed prefix of buf_
+  /// Size of the whole frame at the front of `bytes`, or 0 if it is not
+  /// all there yet. A malformed header sets corrupt_.
+  std::size_t whole_frame(std::span<const std::uint8_t> bytes);
+
+  SharedBytes chunk_;     // being split into frames
+  std::size_t head_ = 0;  // consumed prefix of chunk_
+  Bytes partial_;         // an incomplete frame's bytes; chunk_ is then spent
   bool corrupt_ = false;
 };
 

@@ -10,12 +10,14 @@ void CdrWriter::write_string(std::string_view s) {
   buf_.push_back(0);
 }
 
-void CdrWriter::write_octet_seq(const Bytes& bytes) {
+void CdrWriter::write_octet_seq(std::span<const std::uint8_t> bytes) {
   write_u32(static_cast<std::uint32_t>(bytes.size()));
-  append_bytes(buf_, bytes);
+  write_raw(bytes);
 }
 
-void CdrWriter::write_raw(const Bytes& bytes) { append_bytes(buf_, bytes); }
+void CdrWriter::write_raw(std::span<const std::uint8_t> bytes) {
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
 
 // ------------------------------------------------------------- CdrReader
 
@@ -36,6 +38,18 @@ CdrResult<Bytes> CdrReader::read_octet_seq() {
   if (!len) return make_unexpected(len.error());
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
   Bytes out(data_ + pos_, data_ + pos_ + len.value());
+  pos_ += len.value();
+  return out;
+}
+
+CdrResult<SharedBytes> CdrReader::read_octet_window() {
+  auto len = read_u32();
+  if (!len) return make_unexpected(len.error());
+  if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
+  SharedBytes out = shared_ != nullptr
+                        ? shared_->window(pos_, len.value())
+                        : SharedBytes(Bytes(data_ + pos_,
+                                            data_ + pos_ + len.value()));
   pos_ += len.value();
   return out;
 }

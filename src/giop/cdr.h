@@ -6,6 +6,7 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -14,6 +15,7 @@
 #include <string_view>
 
 #include "common/expected.h"
+#include "common/shared_bytes.h"
 #include "common/types.h"
 
 namespace mead::giop {
@@ -51,6 +53,29 @@ template <typename T>
 
 }  // namespace detail
 
+/// Rounds a stream offset up to the next multiple of `n`: the CDR rule
+/// that places every primitive at an offset that is a multiple of its size.
+[[nodiscard]] constexpr std::size_t align_up(std::size_t offset,
+                                             std::size_t n) {
+  return (offset + n - 1) / n * n;
+}
+
+/// Stores the integer `v` at `p` in byte order `order`.
+template <typename T>
+void store_int(std::uint8_t* p, T v, ByteOrder order) {
+  if (order != native_byte_order()) v = detail::byteswap_int(v);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Loads an integer stored at `p` in byte order `order`.
+template <typename T>
+[[nodiscard]] T load_int(const std::uint8_t* p, ByteOrder order) {
+  T v{};
+  std::memcpy(&v, p, sizeof(T));
+  if (order != native_byte_order()) v = detail::byteswap_int(v);
+  return v;
+}
+
 /// Serializer. Offsets are relative to the start of the CDR stream (for GIOP,
 /// the message body begins at offset 0 — the 12-byte header is external and
 /// deliberately laid out so body alignment is preserved).
@@ -80,6 +105,17 @@ class CdrWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   /// Capacity hint for large messages (avoids regrowth copies).
   void reserve(std::size_t n) { buf_.reserve(n); }
+  /// Offset of the next byte from the stream origin (the end of the
+  /// prefix): the offset CDR alignment is computed on.
+  [[nodiscard]] std::size_t offset() const { return buf_.size() - base_; }
+  /// Appends `n` zero bytes and returns the first of them, for a bulk
+  /// region the caller lays out itself with align_up() and store_int().
+  /// The pointer is valid until the next write.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n, 0);
+    return buf_.data() + at;
+  }
 
   void write_u8(std::uint8_t v) { buf_.push_back(v); }
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
@@ -97,9 +133,9 @@ class CdrWriter {
   /// CDR string: u32 length including NUL, characters, NUL.
   void write_string(std::string_view s);
   /// sequence<octet>: u32 length + raw bytes.
-  void write_octet_seq(const Bytes& bytes);
+  void write_octet_seq(std::span<const std::uint8_t> bytes);
   /// Raw bytes with no length prefix (caller manages framing).
-  void write_raw(const Bytes& bytes);
+  void write_raw(std::span<const std::uint8_t> bytes);
 
  private:
   void align(std::size_t n) {
@@ -110,10 +146,9 @@ class CdrWriter {
   template <typename T>
   void put_int(T v) {
     align(sizeof(T));
-    if (order_ != native_byte_order()) v = detail::byteswap_int(v);
     const std::size_t at = buf_.size();
     buf_.resize(at + sizeof(T));
-    std::memcpy(buf_.data() + at, &v, sizeof(T));
+    store_int(buf_.data() + at, v, order_);
   }
 
   ByteOrder order_;
@@ -131,12 +166,23 @@ class CdrReader {
             std::size_t start_offset = 0)
       : data_(buf.data()), size_(buf.size()), order_(order),
         pos_(start_offset), base_(start_offset) {}
+  /// Reads a shared buffer: read_octet_window() then returns windows onto
+  /// it instead of copies. (A template only so that a Bytes argument,
+  /// which converts to both, picks the span constructor.)
+  template <std::same_as<SharedBytes> S>
+  CdrReader(const S& buf, ByteOrder order, std::size_t start_offset = 0)
+      : CdrReader(buf.span(), order, start_offset) {
+    shared_ = &buf;
+  }
 
   [[nodiscard]] ByteOrder order() const { return order_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const {
     return size_ > pos_ ? size_ - pos_ : 0;
   }
+  /// Offset of the next byte from the stream origin: the offset CDR
+  /// alignment is computed on.
+  [[nodiscard]] std::size_t offset() const { return pos_ - base_; }
 
   CdrResult<std::uint8_t> read_u8() {
     if (!has(1)) return make_unexpected(CdrErr::kOutOfBounds);
@@ -169,12 +215,24 @@ class CdrReader {
   }
   CdrResult<std::string> read_string();
   CdrResult<Bytes> read_octet_seq();
+  /// sequence<octet> as a window sharing the buffer of a reader built on a
+  /// SharedBytes; a reader over a plain span has no buffer to share and
+  /// returns a copy.
+  CdrResult<SharedBytes> read_octet_window();
   CdrResult<Bytes> read_raw(std::size_t n);
   /// Advances past `n` bytes without copying them.
   CdrResult<void> skip(std::size_t n) {
     if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
     pos_ += n;
     return {};
+  }
+  /// The next `n` bytes in place, for a bulk region the caller reads with
+  /// align_up() and load_int(); advances past them.
+  CdrResult<std::span<const std::uint8_t>> view(std::size_t n) {
+    if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
+    const std::span<const std::uint8_t> out(data_ + pos_, n);
+    pos_ += n;
+    return out;
   }
 
  private:
@@ -189,10 +247,8 @@ class CdrReader {
   CdrResult<T> get_int() {
     if (auto a = align(sizeof(T)); !a) return make_unexpected(a.error());
     if (!has(sizeof(T))) return make_unexpected(CdrErr::kOutOfBounds);
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
+    const T v = load_int<T>(data_ + pos_, order_);
     pos_ += sizeof(T);
-    if (order_ != native_byte_order()) v = detail::byteswap_int(v);
     return v;
   }
 
@@ -201,6 +257,7 @@ class CdrReader {
   ByteOrder order_;
   std::size_t pos_;
   std::size_t base_;  // alignment is relative to the stream start
+  const SharedBytes* shared_ = nullptr;  // the buffer data_ views, if shared
 };
 
 }  // namespace mead::giop

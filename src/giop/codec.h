@@ -16,7 +16,9 @@
 //    double as its 64-bit pattern, each with CDR alignment;
 //  * bool and small enums as one byte, validated on decode (a bool must be
 //    0 or 1; an enum at most codec_max(E{}), found by ADL);
-//  * std::string as a CDR string, Bytes as an octet sequence;
+//  * std::string as a CDR string, Bytes and SharedBytes as an octet
+//    sequence (a SharedBytes decodes as a window onto the buffer of a
+//    reader built on one, without copying);
 //  * std::vector<T> and std::set<T> as a u32 count followed by the
 //    elements (a set in its sorted order);
 //  * std::pair and described structs field by field.
@@ -40,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/types.h"
 #include "giop/cdr.h"
 
@@ -99,6 +102,8 @@ constexpr std::size_t min_wire_size() {
     return sizeof(T);
   } else if constexpr (std::is_same_v<T, std::string>) {
     return 5;  // u32 length + NUL
+  } else if constexpr (std::is_same_v<T, SharedBytes>) {
+    return 4;  // u32 length
   } else if constexpr (codec_detail::IsVector<T>::value ||
                        codec_detail::IsSet<T>::value) {
     return 4;  // u32 count
@@ -125,6 +130,8 @@ std::size_t size_hint(const T& v) {
     return 2 * sizeof(T);
   } else if constexpr (std::is_same_v<T, std::string>) {
     return 8 + v.size() + 1;
+  } else if constexpr (std::is_same_v<T, SharedBytes>) {
+    return 8 + v.size();
   } else if constexpr (codec_detail::IsVector<T>::value ||
                        codec_detail::IsSet<T>::value) {
     using E = typename T::value_type;
@@ -180,7 +187,8 @@ void encode(CdrWriter& w, const T& v) {
     else w.write_u64(static_cast<U>(v));
   } else if constexpr (std::is_same_v<T, std::string>) {
     w.write_string(v);
-  } else if constexpr (std::is_same_v<T, Bytes>) {
+  } else if constexpr (std::is_same_v<T, Bytes> ||
+                       std::is_same_v<T, SharedBytes>) {
     w.write_octet_seq(v);
   } else if constexpr (codec_detail::IsVector<T>::value ||
                        codec_detail::IsSet<T>::value) {
@@ -216,6 +224,8 @@ bool decode(CdrReader& r, T& v) {
     return codec_detail::assign(r.read_string(), v);
   } else if constexpr (std::is_same_v<T, Bytes>) {
     return codec_detail::assign(r.read_octet_seq(), v);
+  } else if constexpr (std::is_same_v<T, SharedBytes>) {
+    return codec_detail::assign(r.read_octet_window(), v);
   } else if constexpr (codec_detail::IsVector<T>::value ||
                        codec_detail::IsSet<T>::value) {
     using E = typename T::value_type;

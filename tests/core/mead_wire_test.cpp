@@ -432,6 +432,147 @@ TEST(CtrlMsgTest, CkptFromStoredCheckpointMatchesCkptDelta) {
             encode_ctrl(c));
 }
 
+// ---- bulk checkpoint entries ----
+//
+// The entry region is laid out once and written/read with one store/load
+// per field. These cases pin it against a per-field reference encoder that
+// writes every key, value and pad with its own CDR call, in both byte
+// orders. value_pad 0..9 and 31..33 start the entries after the first at
+// every residue mod 8. The member name lengths move the end of the string
+// through every residue; the u64 header fields that follow realign the
+// stream, so the first entry itself always starts 8-aligned.
+
+/// The CkptDelta body written one CDR call at a time.
+Bytes reference_ckpt_body(const CkptDelta& c, giop::ByteOrder order) {
+  const state::Checkpoint& k = c.checkpoint;
+  giop::CdrWriter w(order);
+  w.write_string(c.member);
+  w.write_u64(c.nonce);
+  w.write_u64(k.epoch);
+  w.write_u64(k.base_epoch);
+  w.write_bool(k.is_base);
+  w.write_u64(k.applied);
+  w.write_u64(k.prev_digest);
+  w.write_u64(k.digest);
+  w.write_u32(c.value_pad);
+  w.write_u32(static_cast<std::uint32_t>(k.entries.size()));
+  const Bytes pad(c.value_pad, 0);
+  for (const auto& [key, value] : k.entries) {
+    w.write_u32(key);
+    w.write_u64(value);
+    w.write_raw(pad);
+  }
+  return w.take();
+}
+
+Bytes ckpt_body(const CkptDelta& c, giop::ByteOrder order) {
+  giop::CdrWriter w(order);
+  giop::encode(w, c);
+  return w.take();
+}
+
+bool decode_ckpt_body(const Bytes& body, giop::ByteOrder order,
+                      CkptDelta& out) {
+  giop::CdrReader r(body, order);
+  return giop::decode(r, out) && r.remaining() == 0;
+}
+
+struct BulkCase {
+  CkptDelta msg;
+  giop::ByteOrder order;
+};
+
+std::vector<BulkCase> bulk_cases() {
+  std::vector<BulkCase> out;
+  for (std::uint32_t pad : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 31u, 32u,
+                            33u}) {
+    for (std::size_t len = 0; len < 8; ++len) {
+      for (auto order :
+           {giop::ByteOrder::kLittleEndian, giop::ByteOrder::kBigEndian}) {
+        CkptDelta c = sample_ckpt(len % 2 == 0, pad);
+        c.member = std::string(len, 'm');
+        c.checkpoint.entries.clear();
+        for (std::uint32_t i = 0; i < 5; ++i) {
+          // Distinct bytes in every field, so a missed swap shows.
+          c.checkpoint.entries.emplace_back(0x01020304u * (i + 1),
+                                            0x0102030405060708ull * (i + 1));
+        }
+        out.push_back({std::move(c), order});
+      }
+    }
+  }
+  return out;
+}
+
+/// Where the entry region starts: the size of the body without entries.
+std::size_t entry_region_begin(const BulkCase& bc) {
+  CkptDelta empty = bc.msg;
+  empty.checkpoint.entries.clear();
+  return reference_ckpt_body(empty, bc.order).size();
+}
+
+std::string describe(const BulkCase& bc) {
+  return "pad=" + std::to_string(bc.msg.value_pad) +
+         " member_len=" + std::to_string(bc.msg.member.size()) +
+         (bc.order == giop::ByteOrder::kBigEndian ? " BE" : " LE");
+}
+
+TEST(CkptBulkCodecTest, BytesMatchPerFieldReference) {
+  for (const BulkCase& bc : bulk_cases()) {
+    EXPECT_EQ(ckpt_body(bc.msg, bc.order),
+              reference_ckpt_body(bc.msg, bc.order))
+        << describe(bc);
+  }
+}
+
+TEST(CkptBulkCodecTest, ControlPayloadIsKindByteThenBody) {
+  for (const BulkCase& bc : bulk_cases()) {
+    if (bc.order != giop::ByteOrder::kLittleEndian) continue;
+    Bytes expected{static_cast<std::uint8_t>(CtrlKind::kCkptDelta)};
+    append_bytes(expected, reference_ckpt_body(bc.msg, bc.order));
+    EXPECT_EQ(encode_ctrl(bc.msg), expected) << describe(bc);
+    EXPECT_EQ(encode_ckpt_delta(bc.msg.member, bc.msg.nonce,
+                                bc.msg.value_pad, bc.msg.checkpoint),
+              expected)
+        << describe(bc);
+  }
+}
+
+TEST(CkptBulkCodecTest, RoundTrips) {
+  for (const BulkCase& bc : bulk_cases()) {
+    CkptDelta back;
+    ASSERT_TRUE(decode_ckpt_body(ckpt_body(bc.msg, bc.order), bc.order, back))
+        << describe(bc);
+    EXPECT_EQ(back, bc.msg) << describe(bc);
+  }
+}
+
+TEST(CkptBulkCodecTest, EveryTruncationInsideEntriesIsRejected) {
+  for (const BulkCase& bc : bulk_cases()) {
+    const Bytes body = ckpt_body(bc.msg, bc.order);
+    for (std::size_t len = entry_region_begin(bc); len < body.size(); ++len) {
+      const Bytes cut(body.begin(),
+                      body.begin() + static_cast<std::ptrdiff_t>(len));
+      CkptDelta back;
+      giop::CdrReader r(cut, bc.order);
+      EXPECT_FALSE(giop::decode(r, back)) << describe(bc) << " len=" << len;
+    }
+  }
+}
+
+TEST(CkptBulkCodecTest, CountOneOverTheFrameIsRejectedWithoutReserving) {
+  for (const BulkCase& bc : bulk_cases()) {
+    Bytes body = ckpt_body(bc.msg, bc.order);
+    const auto n = static_cast<std::uint32_t>(bc.msg.checkpoint.entries.size());
+    giop::store_int(body.data() + entry_region_begin(bc) - 4, n + 1,
+                    bc.order);
+    CkptDelta back;
+    giop::CdrReader r(body, bc.order);
+    EXPECT_FALSE(giop::decode(r, back)) << describe(bc);
+    EXPECT_EQ(back.checkpoint.entries.capacity(), 0u) << describe(bc);
+  }
+}
+
 // ---- corrupt sequence counts ----
 //
 // A sequence count of 0xFFFFFFFF must be rejected on the bytes actually

@@ -134,5 +134,44 @@ TEST_F(GcClientTest, WaitForViewSetsAsideOtherEvents) {
   EXPECT_EQ(messages_after[0], "hi");
 }
 
+TEST_F(GcClientTest, EventPayloadsOutliveTheirClient) {
+  // Three deliveries taken in one read share that read's buffer. Their
+  // payloads stay valid after the client, and with it the framer, is gone
+  // (ASan would flag a window left pointing into freed framer memory).
+  auto a = make_client("node1", "keeper");
+  auto b = make_client("node2", "sender");
+  std::vector<Event> kept;
+  std::size_t pumped = 0;
+
+  auto keep = [](net::Process& p, GcClient& gc, std::vector<Event>& out,
+                 std::size_t& n) -> sim::Task<void> {
+    (void)co_await gc.join("grp");
+    // Let every delivery land in the inbox, then take them in one read.
+    if (!co_await p.sleep(milliseconds(100))) co_return;
+    auto got = co_await gc.pump();
+    if (!got) co_return;
+    n = got.value();
+    while (auto ev = gc.pop_buffered()) {
+      if (ev->kind == Event::Kind::kMessage) out.push_back(std::move(*ev));
+    }
+  };
+  auto send = [](net::Process& p, GcClient& gc) -> sim::Task<void> {
+    if (!co_await p.sleep(milliseconds(20))) co_return;
+    for (std::uint8_t i = 1; i <= 3; ++i) {
+      (void)co_await gc.multicast("grp", Bytes(100u * i, i));
+    }
+  };
+  sim_.spawn(keep(*a.proc, *a.gc, kept, pumped));
+  sim_.spawn(send(*b.proc, *b.gc));
+  sim_.run_for(milliseconds(300));
+  a.gc.reset();
+  EXPECT_GE(pumped, 3u);
+  ASSERT_EQ(kept.size(), 3u);
+  for (std::uint8_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(kept[i - 1].payload, Bytes(100u * i, i));
+    EXPECT_EQ(kept[i - 1].sender, "sender");
+  }
+}
+
 }  // namespace
 }  // namespace mead::gc

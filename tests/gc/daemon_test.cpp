@@ -133,7 +133,7 @@ TEST_F(GcDaemonTest, NonMemberCanSendToGroup) {
       auto ev = co_await gc.next_event(milliseconds(100));
       if (!ev || !ev.value()) co_return;
       if (ev.value()->kind == Event::Kind::kMessage) {
-        out.push_back(ev.value()->payload);
+        out.emplace_back(ev.value()->payload.begin(), ev.value()->payload.end());
         co_return;
       }
     }

@@ -266,8 +266,8 @@ TEST(LenFramerTest, WholeBufferFrameIsAdopted) {
 }
 
 TEST(LenFramerTest, LastFrameAfterConsumedPrefixIsAdopted) {
-  // Two frames in one chunk: the first is copied out, the second (the
-  // rest of the buffer) adopts it, body offset past the consumed prefix.
+  // Two frames in one chunk: both are windows onto it, the second's body
+  // offset past the consumed prefix.
   const Bytes first = encode(HeartbeatMsg{1});
   const Bytes second = encode(DeliverMsg{"g", "s", 9, Bytes{4, 5}});
   Bytes chunk = first;
@@ -352,6 +352,94 @@ TEST(GcWireTest, DeliverFromOrderedMatchesDeliverMsg) {
             encode(DeliverMsg{o.group, o.member, o.seq, o.payload}));
 }
 
+// ---- payloads decoded in place ----
+
+/// True if `payload` is the last `payload.size()` bytes of `frame`'s body:
+/// the decoder windowed the frame's buffer instead of copying.
+bool ends_frame(const SharedBytes& payload, const Frame& frame) {
+  return payload.data() + payload.size() ==
+         frame.body().data() + frame.body().size();
+}
+
+TEST(GcPayloadWindowTest, DecodedPayloadPointsIntoItsFrame) {
+  const Bytes payload(300, 5);
+  OrderedMsg o;
+  o.group = "g";
+  o.member = "m";
+  o.payload = payload;
+  const Frame mcast(encode(McastMsg{"g", payload}));
+  const Frame submit(encode(o, Op::kSubmit));
+  const Frame ordered(encode(o, Op::kOrdered));
+  const Frame deliver(encode(DeliverMsg{"g", "s", 3, payload}));
+  auto m = decode<McastMsg>(mcast);
+  auto s = decode<OrderedMsg>(submit);
+  auto od = decode<OrderedMsg>(ordered);
+  auto d = decode<DeliverMsg>(deliver);
+  ASSERT_TRUE(m.ok() && s.ok() && od.ok() && d.ok());
+  EXPECT_TRUE(ends_frame(m->payload, mcast));
+  EXPECT_TRUE(ends_frame(s->payload, submit));
+  EXPECT_TRUE(ends_frame(od->payload, ordered));
+  EXPECT_TRUE(ends_frame(d->payload, deliver));
+  for (const SharedBytes* p :
+       {&m->payload, &s->payload, &od->payload, &d->payload}) {
+    EXPECT_EQ(*p, payload);
+  }
+}
+
+TEST(GcPayloadWindowTest, ChunkOfThreeFramesSplitsWithoutCopy) {
+  const std::vector<Bytes> frames = {
+      encode(DeliverMsg{"g", "a", 1, Bytes(40, 1)}),
+      encode(HeartbeatMsg{7}),
+      encode(DeliverMsg{"g", "b", 2, Bytes(90, 2)}),
+  };
+  Bytes chunk;
+  for (const Bytes& f : frames) append_bytes(chunk, f);
+  const std::uint8_t* storage = chunk.data();
+  LenFramer f;
+  f.feed(std::move(chunk));
+  std::size_t offset = 0;
+  for (const Bytes& expected : frames) {
+    auto frame = f.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->body().data(), storage + offset + Frame::kHeaderSize);
+    EXPECT_EQ(frame->body().size(), expected.size() - Frame::kHeaderSize);
+    offset += expected.size();
+  }
+  EXPECT_FALSE(f.next().has_value());
+  EXPECT_EQ(f.buffered(), 0u);
+}
+
+TEST(GcPayloadWindowTest, PayloadOutlivesFramerAndBatch) {
+  // Three deliveries in one batch frame, itself fed in two pieces. Once
+  // the framer, the batch frame and its sub-frames are gone, the decoded
+  // payloads still hold the bytes (ASan would flag a dangling window).
+  std::vector<SharedBytes> payloads;
+  {
+    const Bytes wire = encode_frame_batch(
+        {encode(DeliverMsg{"g", "a", 1, Bytes(64, 0xA1)}),
+         encode(DeliverMsg{"g", "b", 2, Bytes{}}),
+         encode(DeliverMsg{"g", "c", 3, Bytes(700, 0xC3)})});
+    LenFramer f;
+    f.feed(Bytes(wire.begin(), wire.begin() + 9));
+    EXPECT_FALSE(f.next().has_value());
+    f.feed(Bytes(wire.begin() + 9, wire.end()));
+    auto batch = f.next();
+    ASSERT_TRUE(batch.has_value());
+    auto subs = decode_frame_batch(*batch);
+    ASSERT_TRUE(subs.ok());
+    for (const Frame& sub : subs.value()) {
+      auto m = decode<DeliverMsg>(sub);
+      ASSERT_TRUE(m.ok());
+      EXPECT_TRUE(ends_frame(m->payload, sub));
+      payloads.push_back(m->payload);
+    }
+  }
+  ASSERT_EQ(payloads.size(), 3u);
+  EXPECT_EQ(payloads[0], Bytes(64, 0xA1));
+  EXPECT_TRUE(payloads[1].empty());
+  EXPECT_EQ(payloads[2], Bytes(700, 0xC3));
+}
+
 TEST(LenFramerTest, BadOpcodePoisons) {
   LenFramer f;
   Bytes evil{1, 0, 0, 0, 99};  // len 1, opcode 99
@@ -432,7 +520,9 @@ OrderedMsg sample_ordered() {
   o.kind = PayloadKind::kData;
   o.group = "mead/TimeOfDay/ckpt";
   o.member = "replica/node2/1";
-  for (std::uint8_t i = 0; i < 23; ++i) o.payload.push_back(i);
+  Bytes payload;
+  for (std::uint8_t i = 0; i < 23; ++i) payload.push_back(i);
+  o.payload = std::move(payload);
   return o;
 }
 
