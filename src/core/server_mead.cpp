@@ -208,7 +208,8 @@ void ServerMead::handle_ckpt_request(const CkptRequest& req) {
     }
     if (self_listed) {
       ++stats_.pull_answers;
-      proc_->sim().spawn(answer_restore(req.member, req.nonce, rank, ranks));
+      proc_->sim().spawn(answer_restore(req.member, req.nonce,
+                                        req.have_epoch, rank, ranks));
     }
     return;
   }
@@ -216,7 +217,8 @@ void ServerMead::handle_ckpt_request(const CkptRequest& req) {
   // answers — a restoring replica is not yet announced, so never
   // first.
   if (registry_.is_first(cfg_.member)) {
-    proc_->sim().spawn(answer_restore(req.member, req.nonce, 0, 1));
+    proc_->sim().spawn(
+        answer_restore(req.member, req.nonce, req.have_epoch, 0, 1));
   }
 }
 
@@ -394,11 +396,12 @@ sim::Task<void> ServerMead::checkpoint_loop() {
 sim::Task<void> ServerMead::push_checkpoint() {
   if (app_state_ == nullptr || restoring_ || ckpt_push_pending_) co_return;
   ckpt_push_pending_ = true;
-  const state::Checkpoint& c = ckpt_store_->take(*app_state_);
+  const state::Checkpoint c = ckpt_store_->take(*app_state_);
   // Truncation contract: the log only ever covers ops newer than the
   // latest checkpoint.
   msg_log_->truncate_through(c.applied);
   ++stats_.ckpt_taken;
+  if (c.is_base) ++stats_.bases_sent;
   ckpt_deltas_->add();
   Bytes frame = ckpt_wire(c, 0);
   ckpt_bytes_->add(frame.size());
@@ -450,6 +453,7 @@ void ServerMead::drain_pull_pending() {
       case state::CheckpointStore::Apply::kGap:
         return;  // still missing the predecessor — keep waiting
       case state::CheckpointStore::Apply::kDigestMismatch:
+      case state::CheckpointStore::Apply::kMalformed:
         pull_pending_.erase(it);
         return;
     }
@@ -514,6 +518,7 @@ sim::Task<void> ServerMead::finish_replay(std::int64_t replayed) {
 
 sim::Task<void> ServerMead::answer_restore(std::string requester,
                                            std::uint64_t nonce,
+                                           std::uint64_t have_epoch,
                                            std::size_t rank,
                                            std::size_t ranks) {
   if (app_state_ == nullptr) co_return;
@@ -522,15 +527,18 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
       << rank << "/" << ranks << ")";
   if (rank == 0 && !ckpt_store_->has_base()) co_await push_checkpoint();
   // Encode the whole stripe before the first multicast suspends us: the
-  // store may rebase underneath the multicasts, and the frames pin the
-  // chain as it is now without copying it.
+  // store may compact underneath the multicasts, and the frames pin the
+  // chain as it is now without copying it. A live mirror that hit a gap
+  // gets only the epochs after the one it holds, when we still have them.
   std::vector<Bytes> frames;
-  for (const auto& c : ckpt_store_->chain()) {
+  for (const auto& c : ckpt_store_->missing_after(have_epoch)) {
     // Stripe ownership: the base (and everything, when solo) belongs to
     // rank 0; delta epoch e belongs to rank e % ranks.
     const bool mine = c.is_base ? rank == 0
                                 : (ranks <= 1 || c.epoch % ranks == rank);
-    if (mine) frames.push_back(ckpt_wire(c, nonce));
+    if (!mine) continue;
+    frames.push_back(ckpt_wire(c, nonce));
+    if (c.is_base) ++stats_.bases_sent;
   }
   for (Bytes& frame : frames) {
     ckpt_bytes_->add(frame.size());
@@ -551,15 +559,15 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
                                 encode_ctrl(lr));
 }
 
-sim::Task<void> ServerMead::request_resync() {
+sim::Task<void> ServerMead::request_resync(std::uint64_t have_epoch) {
   // A live mirror fell off the delta chain (dropped frame under a
   // partition, or joined after the base): ask for a directed re-send.
   if (await_nonce_ != 0 || restoring_) co_return;
   await_nonce_ = make_nonce();
+  ++stats_.resyncs;
   (void)co_await gc_->multicast(
       ckpt_group(cfg_.service),
-      encode_ctrl(CkptRequest{cfg_.member, await_nonce_,
-                              ckpt_store_->last_epoch()}));
+      encode_ctrl(CkptRequest{cfg_.member, await_nonce_, have_epoch}));
 }
 
 void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
@@ -590,6 +598,7 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
         break;
       case state::CheckpointStore::Apply::kStale:
       case state::CheckpointStore::Apply::kDigestMismatch:
+      case state::CheckpointStore::Apply::kMalformed:
         break;
     }
     return;
@@ -601,15 +610,18 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
       ++stats_.ckpt_applied;
       break;
     case state::CheckpointStore::Apply::kStale:
+    case state::CheckpointStore::Apply::kMalformed:
       break;
     case state::CheckpointStore::Apply::kGap:
-      if (d.nonce == 0) proc_->sim().spawn(request_resync());
+      if (d.nonce == 0) {
+        proc_->sim().spawn(request_resync(ckpt_store_->last_epoch()));
+      }
       break;
     case state::CheckpointStore::Apply::kDigestMismatch:
       // Cross-verification failed: our mirror diverged — resync from the
-      // authoritative chain.
+      // authoritative chain, base included.
       digest_mismatches_->add();
-      if (d.nonce == 0) proc_->sim().spawn(request_resync());
+      if (d.nonce == 0) proc_->sim().spawn(request_resync(0));
       break;
   }
 }

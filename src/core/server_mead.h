@@ -88,6 +88,10 @@ class ServerMead final : public net::SocketApi {
   [[nodiscard]] const state::AppState* app_state() const {
     return app_state_.get();
   }
+  /// Its checkpoint chain (null when cfg.state.enabled is false).
+  [[nodiscard]] const state::CheckpointStore* ckpt_store() const {
+    return ckpt_store_.get();
+  }
   /// True while the restore handshake gates this replica's announce.
   [[nodiscard]] bool restoring() const { return restoring_; }
 
@@ -107,6 +111,8 @@ class ServerMead final : public net::SocketApi {
     std::uint64_t restores = 0;        // completed peer restores (not fresh)
     double last_restore_ms = 0;        // duration of the latest restore
     std::uint64_t pull_answers = 0;    // chain stripes answered (pull mode)
+    std::uint64_t bases_sent = 0;      // full bases multicast, any path
+    std::uint64_t resyncs = 0;         // live-mirror chain re-requests
     std::uint64_t handoffs = 0;        // ordered rotations served as victim
     std::uint64_t dedup_hits = 0;      // duplicate requests suppressed
   };
@@ -165,14 +171,17 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> restore_watchdog();
   /// Answers (a stripe of) a directed restore: rank 0 sends the base and
   /// the closing LogReplay; deltas go to the rank owning epoch % ranks.
-  /// The historical single-answerer path is rank 0 of 1.
+  /// The historical single-answerer path is rank 0 of 1. Only the epochs
+  /// after `have_epoch` are sent when it lies inside our chain.
   sim::Task<void> answer_restore(std::string requester, std::uint64_t nonce,
-                                 std::size_t rank, std::size_t ranks);
+                                 std::uint64_t have_epoch, std::size_t rank,
+                                 std::size_t ranks);
   /// Pull mode: re-applies buffered out-of-order stripes in epoch order.
   void drain_pull_pending();
   /// Pull mode: runs the stashed log replay once the chain caught up to it.
   void try_pull_replay();
-  sim::Task<void> request_resync();
+  /// Asks for the chain after `have_epoch` (0: the whole chain).
+  sim::Task<void> request_resync(std::uint64_t have_epoch);
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
   void handle_ckpt_delta(CkptDelta&& d);

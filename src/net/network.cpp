@@ -291,16 +291,14 @@ void Network::teardown_process_sockets(Process& proc) {
       end.local_closed = true;
       end.readers.wake_all(sim_);
       detail::ConnEnd& peer = ref->peer();
-      if (link_partitioned(node_id(end.local.host),
-                           node_id(peer.local.host))) {
+      if (link_partitioned(end.node, peer.node)) {
         note_drop();  // RST lost: the remote peer hangs (detected by
         continue;     // heartbeat timeout, not EOF)
       }
       auto conn = ref->conn;
       const int peer_side = 1 - ref->side;
-      const Duration delay = delivery_delay(node_id(end.local.host),
-                                            node_id(peer.local.host),
-                                            peer.local, 0);
+      const Duration delay =
+          delivery_delay(end.node, peer.node, peer.local, 0);
       const TimePoint arrival = reserve_arrival(peer, delay);
       sim_.schedule(arrival - sim_.now(), [this, conn, peer_side] {
         conn->ends[peer_side].eof = true;
@@ -396,10 +394,11 @@ sim::Task<Result<int>> ProcessSocketApi::connect(const Endpoint& remote) {
   if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
   if (!net().has_node(remote.host)) co_return make_unexpected(NetErr::kUnknownHost);
 
-  const Duration one_way = net().delivery_delay(
-      proc_.node(), net().node_id(remote.host), remote, 0);
+  const NodeId remote_node = net().node_id(remote.host);
+  const Duration one_way =
+      net().delivery_delay(proc_.node(), remote_node, remote, 0);
 
-  if (net().link_partitioned(proc_.node(), net().node_id(remote.host))) {
+  if (net().link_partitioned(proc_.node(), remote_node)) {
     // SYN lost: TCP connect eventually times out.
     net().note_drop();
     co_await sim().sleep(milliseconds(100));
@@ -421,8 +420,10 @@ sim::Task<Result<int>> ProcessSocketApi::connect(const Endpoint& remote) {
   const Endpoint local{proc_.host(), net().next_ephemeral_port(proc_.node())};
   conn->ends[0].local = local;
   conn->ends[0].remote = remote;
+  conn->ends[0].node = proc_.node();
   conn->ends[1].local = remote;
   conn->ends[1].remote = local;
+  conn->ends[1].node = remote_node;
 
   // SYN arrives at the listener after one propagation delay.
   sim().schedule(one_way, [this, listener, conn] {
@@ -489,7 +490,7 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
   }
 
   const std::size_t n = data.size();
-  if (net().link_partitioned(proc_.node(), net().node_id(peer.local.host))) {
+  if (net().link_partitioned(proc_.node(), peer.node)) {
     // Message-loss fault: the bytes vanish on the wire. The writer cannot
     // tell (TCP would buffer/retransmit); the reader simply never sees them.
     net().note_drop();
@@ -497,8 +498,8 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
   }
   auto conn = ref->conn;
   const int peer_side = 1 - ref->side;
-  const Duration delay = net().delivery_delay(
-      proc_.node(), net().node_id(peer.local.host), peer.local, n);
+  const Duration delay =
+      net().delivery_delay(proc_.node(), peer.node, peer.local, n);
   Network* network = &net();
   const TimePoint arrival = network->reserve_arrival(peer, delay);
   sim().schedule(arrival - sim().now(),
@@ -559,16 +560,15 @@ void ProcessSocketApi::real_close_conn(const detail::ConnRef& ref) {
   if (end.local_closed) return;
   end.local_closed = true;
   end.readers.wake_all(sim());
-  detail::ConnEnd& far = ref.peer();
-  if (net().link_partitioned(proc_.node(), net().node_id(far.local.host))) {
+  detail::ConnEnd& peer = ref.peer();
+  if (net().link_partitioned(proc_.node(), peer.node)) {
     net().note_drop();  // FIN lost: the peer hangs instead of seeing EOF
     return;
   }
   auto conn = ref.conn;
   const int peer_side = 1 - ref.side;
-  detail::ConnEnd& peer = ref.peer();
-  const Duration delay = net().delivery_delay(
-      proc_.node(), net().node_id(peer.local.host), peer.local, 0);
+  const Duration delay =
+      net().delivery_delay(proc_.node(), peer.node, peer.local, 0);
   Network* network = &net();
   const TimePoint arrival = network->reserve_arrival(peer, delay);
   sim().schedule(arrival - sim().now(), [network, conn, peer_side] {

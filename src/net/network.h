@@ -100,6 +100,9 @@ class WaitSet {
 struct ConnEnd {
   Endpoint local;
   Endpoint remote;
+  /// The node `local.host` names, resolved when the connection is made so
+  /// writes and closes skip the by-name lookup.
+  NodeId node = kInvalidNode;
   ByteQueue inbox;
   bool eof = false;           // peer closed; surfaced after inbox drains
   bool local_closed = false;  // this side closed (or its process died)

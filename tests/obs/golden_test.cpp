@@ -209,8 +209,8 @@ TEST(GoldenDigestTest, MigrationSeed2004) {
   const Digests d = run_digests(migration_spec(), milliseconds(300));
   EXPECT_GE(d.result.rm_migrations, 1u);
   EXPECT_GT(d.result.handoff_ms, 0u);
-  EXPECT_EQ(d.trace, 0xe6db9dde9d4ea9b0ull) << std::hex << "trace 0x" << d.trace;
-  EXPECT_EQ(d.metrics, 0x560884d261e48daaull)
+  EXPECT_EQ(d.trace, 0x8ba0c81b889b969dull) << std::hex << "trace 0x" << d.trace;
+  EXPECT_EQ(d.metrics, 0x4d708a01745ec0b9ull)
       << std::hex << "metrics 0x" << d.metrics;
 }
 
@@ -219,8 +219,8 @@ TEST(GoldenDigestTest, QuorumDedupSeed2004) {
   EXPECT_GT(d.result.quorum_reads, 0u);
   EXPECT_GE(d.result.state_restores, 1u);
   EXPECT_TRUE(d.result.state_ok);
-  EXPECT_EQ(d.trace, 0xccdadf629989a687ull) << std::hex << "trace 0x" << d.trace;
-  EXPECT_EQ(d.metrics, 0x1d604a9cbd6ad806ull)
+  EXPECT_EQ(d.trace, 0xed02dd9892d00cf9ull) << std::hex << "trace 0x" << d.trace;
+  EXPECT_EQ(d.metrics, 0x3bdd71e86e108e6aull)
       << std::hex << "metrics 0x" << d.metrics;
 }
 
@@ -230,8 +230,8 @@ TEST(GoldenDigestTest, StatefulPullRestoreSeed2004) {
   EXPECT_GT(d.result.ckpt_deltas, 0u);
   EXPECT_GE(d.result.state_restores, 1u);
   EXPECT_TRUE(d.result.state_ok);
-  EXPECT_EQ(d.trace, 0x650dbf9b8efb6b57ull) << std::hex << "trace 0x" << d.trace;
-  EXPECT_EQ(d.metrics, 0xee7481be6cda9e45ull)
+  EXPECT_EQ(d.trace, 0x0ae82d6d3f2aea18ull) << std::hex << "trace 0x" << d.trace;
+  EXPECT_EQ(d.metrics, 0xad8e95bb9a328832ull)
       << std::hex << "metrics 0x" << d.metrics;
 }
 

@@ -142,6 +142,48 @@ TEST(StateRecoveryTest, PullRestoreStripesTheChainAcrossSurvivingPeers) {
   EXPECT_GE(answerers, 2u) << "chain was not striped across survivors";
 }
 
+TEST(StateRecoveryTest, GappedLiveMirrorResyncsWithoutABase) {
+  // Isolate one mirror's host for a window far shorter than the GC dead
+  // interval: no view changes, the deltas ordered meanwhile are simply
+  // lost to it. The first delta that reaches the healed mirror chains
+  // past the hole; the mirror asks for the epochs after the one it holds
+  // and the answer carries deltas only. The run's bases are the primary's
+  // first checkpoint and one per restoring replacement, nothing else.
+  ExperimentSpec spec = stateful_spec();
+  spec.chaos.partition(milliseconds(130), "node3");
+  spec.chaos.heal(milliseconds(150), "node3");
+
+  Experiment exp(spec);
+  ASSERT_TRUE(exp.start());
+  exp.launch_client();
+  exp.run_to_completion();
+  exp.sim().run_for(milliseconds(200));
+  const ExperimentResult r = exp.collect();
+  EXPECT_TRUE(r.state_ok);
+  EXPECT_EQ(r.group_results[0].invocations_completed, 400u);
+
+  const ServiceGroup* g = exp.testbed().group(kServiceName);
+  ASSERT_NE(g, nullptr);
+  std::uint64_t resyncs = 0;
+  std::uint64_t bases = 0;
+  for (const auto& rep : g->replicas()) {
+    const auto& st = rep->mead().stats();
+    resyncs += st.resyncs;
+    bases += st.bases_sent;
+  }
+  EXPECT_GE(resyncs, 1u) << "the isolation cost the mirror no delta";
+  EXPECT_EQ(bases, 1 + r.state_restores);
+  // Every replica ends on the same chain, compacted in lockstep.
+  const state::CheckpointStore* first = nullptr;
+  for (const auto& rep : g->replicas()) {
+    if (!rep->alive()) continue;
+    const state::CheckpointStore* store = rep->mead().ckpt_store();
+    ASSERT_NE(store, nullptr);
+    if (first == nullptr) first = store;
+    EXPECT_EQ(store->chain(), first->chain()) << rep->member();
+  }
+}
+
 TEST(StateRecoveryTest, TwoCrashesInOneDeadIntervalRebuildFromOneSurvivor) {
   // Both older replicas die 2 ms apart — before either replacement can
   // announce — leaving a single survivor holding the only copy of the

@@ -79,31 +79,49 @@ TEST(CheckpointStoreTest, BaseThenDeltasThenRebase) {
   AppState s(8);
   CheckpointStore store(/*rebase_every=*/2);
   for (int i = 0; i < 5; ++i) (void)s.apply_next();
-  const Checkpoint& base = store.take(s);
+  const Checkpoint base = store.take(s);
   EXPECT_TRUE(base.is_base);
   EXPECT_EQ(base.epoch, 1u);
   EXPECT_EQ(base.entries.size(), 8u);  // full snapshot
   EXPECT_EQ(base.applied, 5u);
 
   (void)s.apply_next();
-  const Checkpoint& d1 = store.take(s);
+  const Checkpoint d1 = store.take(s);
   EXPECT_FALSE(d1.is_base);
   EXPECT_EQ(d1.base_epoch, 1u);
   EXPECT_EQ(d1.entries.size(), 1u);  // one op dirtied one key
   EXPECT_EQ(d1.prev_digest, base.digest);
 
   (void)s.apply_next();
-  const Checkpoint& d2 = store.take(s);
+  const Checkpoint d2 = store.take(s);
   EXPECT_FALSE(d2.is_base);
+  EXPECT_EQ(store.chain().size(), 3u);
 
-  // Two deltas since the base: the rebase schedule forces a fresh base.
+  // Two deltas chain to the base, so the next one completes the cycle:
+  // it ships as a delta (where a fresh base used to go), and the store
+  // compacts its chain into one base at that delta's epoch.
   (void)s.apply_next();
-  const Checkpoint& base2 = store.take(s);
-  EXPECT_TRUE(base2.is_base);
-  EXPECT_EQ(base2.base_epoch, base2.epoch);
-  // The retained chain starts at the new base: nothing older is served.
-  EXPECT_EQ(store.chain().size(), 1u);
-  EXPECT_EQ(store.chain().front().epoch, base2.epoch);
+  const Checkpoint d3 = store.take(s);
+  EXPECT_FALSE(d3.is_base);
+  EXPECT_EQ(d3.epoch, 4u);
+  ASSERT_EQ(store.chain().size(), 1u);  // nothing older is served
+  const Checkpoint& compacted = store.chain().front();
+  EXPECT_TRUE(compacted.is_base);
+  EXPECT_EQ(compacted.epoch, d3.epoch);
+  EXPECT_EQ(compacted.base_epoch, d3.epoch);
+  EXPECT_EQ(compacted.applied, d3.applied);
+  EXPECT_EQ(compacted.digest, d3.digest);
+  ASSERT_EQ(compacted.entries.size(), 8u);
+  for (std::uint32_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(compacted.entries[k], std::make_pair(k, s.value(k)));
+  }
+
+  // Later takes stay deltas, chained to the compacted base.
+  (void)s.apply_next();
+  const Checkpoint d4 = store.take(s);
+  EXPECT_FALSE(d4.is_base);
+  EXPECT_EQ(d4.base_epoch, d3.epoch);
+  EXPECT_EQ(d4.prev_digest, d3.digest);
 }
 
 TEST(CheckpointStoreTest, RvalueApplyMovesOnlyWhenApplied) {
@@ -322,6 +340,158 @@ TEST(MessageLogTest, WraparoundReplayYieldsOnlyTheRetainedSuffix) {
   AppState stale(8);
   EXPECT_EQ(MessageLog::replay(log.entries(), primary.digest(), stale), -1);
   EXPECT_EQ(stale.applied(), 0u);
+}
+
+TEST(CheckpointStoreTest, PrimaryAndMirrorCompactInLockstep) {
+  // Only the first checkpoint is a base; after it the primary ships
+  // deltas alone, and both sides fold their own chains into a base at
+  // the same epochs, so the chains stay identical across cycles.
+  constexpr std::uint32_t kRebase = 4;  // a cycle is base + 5 deltas
+  AppState primary(16);
+  CheckpointStore pstore(kRebase);
+  AppState mirror(16);
+  CheckpointStore mstore(kRebase);
+
+  std::size_t bases = 0;
+  std::size_t compactions = 0;
+  for (std::uint32_t take = 1; take <= 3 * (kRebase + 1) + 2; ++take) {
+    for (int i = 0; i < 3; ++i) (void)primary.apply_next();
+    const Checkpoint c = pstore.take(primary);
+    if (c.is_base) ++bases;
+    ASSERT_EQ(mstore.apply(c, mirror), CheckpointStore::Apply::kApplied)
+        << "take " << take;
+    if (pstore.chain().size() == 1 && take > 1) ++compactions;
+    EXPECT_EQ(mstore.last_epoch(), pstore.last_epoch()) << "take " << take;
+    EXPECT_EQ(mstore.last_digest(), pstore.last_digest()) << "take " << take;
+    EXPECT_EQ(mstore.chain(), pstore.chain()) << "take " << take;
+    EXPECT_EQ(mirror.digest(), primary.digest()) << "take " << take;
+  }
+  EXPECT_EQ(bases, 1u);
+  EXPECT_EQ(compactions, 3u);
+  EXPECT_EQ(pstore.chain().front().epoch, 3 * (kRebase + 1) + 1);
+  for (std::uint32_t k = 0; k < 16; ++k) {
+    EXPECT_EQ(mstore.chain().front().entries[k].second,
+              pstore.chain().front().entries[k].second);
+  }
+}
+
+TEST(CheckpointStoreTest, CompactedBaseRestoresAFreshStore) {
+  AppState primary(32);
+  CheckpointStore pstore(/*rebase_every=*/3);
+  for (int take = 0; take < 9; ++take) {  // compacts at takes 5 and 9
+    for (int i = 0; i < 5; ++i) (void)primary.apply_next();
+    (void)pstore.take(primary);
+  }
+  ASSERT_EQ(pstore.chain().size(), 1u);
+  const Checkpoint& base = pstore.chain().front();
+  ASSERT_TRUE(base.is_base);
+
+  AppState fresh(32);
+  CheckpointStore fstore(3);
+  ASSERT_EQ(fstore.apply(base, fresh), CheckpointStore::Apply::kApplied);
+  EXPECT_EQ(fresh.applied(), 45u);
+  EXPECT_EQ(fresh.digest(), AppState::expected_digest(45, 32));
+  // The slots, not just the watermark, are the primary's: both continue
+  // to the same digest.
+  for (int i = 0; i < 40; ++i) {
+    (void)primary.apply_next();
+    (void)fresh.apply_next();
+  }
+  EXPECT_EQ(fresh.digest(), AppState::expected_digest(85, 32));
+  EXPECT_EQ(fresh.digest(), primary.digest());
+}
+
+TEST(CheckpointStoreTest, MirrorAheadOfItsChainCompactsToTheChainDigest) {
+  // The fold reads only the chain: a mirror whose own AppState executed
+  // extra ops still compacts to the primary's base.
+  AppState primary(8);
+  CheckpointStore pstore(/*rebase_every=*/2);
+  AppState mirror(8);
+  CheckpointStore mstore(2);
+  (void)primary.apply_next();
+  ASSERT_EQ(mstore.apply(pstore.take(primary), mirror),
+            CheckpointStore::Apply::kApplied);
+  for (int take = 0; take < 3; ++take) {
+    for (int i = 0; i < 3; ++i) (void)primary.apply_next();
+    const Checkpoint d = pstore.take(primary);
+    for (int i = 0; i < 5; ++i) (void)mirror.apply_next();  // runs ahead
+    ASSERT_EQ(mstore.apply(d, mirror), CheckpointStore::Apply::kApplied);
+  }
+  ASSERT_EQ(mstore.chain().size(), 1u);
+  EXPECT_EQ(mstore.chain(), pstore.chain());
+  EXPECT_EQ(mstore.last_digest(), AppState::expected_digest(10, 8));
+  EXPECT_EQ(mstore.applied(), 10u);
+}
+
+TEST(CheckpointStoreTest, MissingAfterServesOnlyTheSuffix) {
+  // A resync answer: a peer holding an epoch inside the chain gets only
+  // the epochs after it (no base); anything else gets the whole chain.
+  AppState s(8);
+  CheckpointStore store(/*rebase_every=*/4);
+  for (int take = 0; take < 9; ++take) {  // base 1, compacted at 6, 7..9
+    (void)s.apply_next();
+    (void)store.take(s);
+  }
+  ASSERT_EQ(store.chain().size(), 4u);
+  ASSERT_EQ(store.chain().front().epoch, 6u);
+
+  const auto suffix = store.missing_after(7);
+  ASSERT_EQ(suffix.size(), 2u);
+  EXPECT_EQ(suffix.front().epoch, 8u);
+  for (const Checkpoint& c : suffix) EXPECT_FALSE(c.is_base);
+  EXPECT_EQ(store.missing_after(6).size(), 3u);  // holds the base itself
+  EXPECT_TRUE(store.missing_after(9).empty());   // already current
+  // Before the base (or 0, a diverged mirror) and beyond the chain: all.
+  EXPECT_EQ(store.missing_after(5).size(), 4u);
+  EXPECT_EQ(store.missing_after(0).size(), 4u);
+  EXPECT_EQ(store.missing_after(10).size(), 4u);
+  EXPECT_TRUE(store.missing_after(5).front().is_base);
+}
+
+TEST(CheckpointStoreTest, RefusesMalformedBasesAndOutOfRangeDeltas) {
+  // A hostile frame: a base that is not keys 0..n-1 in order, or a delta
+  // naming a key the base does not hold, must be refused before any slot
+  // is written, and must not reach the fold.
+  AppState primary(4);
+  CheckpointStore pstore(/*rebase_every=*/1);
+  (void)primary.apply_next();
+  const Checkpoint base = pstore.take(primary);
+
+  const auto refused = [](Checkpoint c) {
+    AppState mirror(4);
+    CheckpointStore mstore(1);
+    const auto result = mstore.apply(std::move(c), mirror);
+    EXPECT_EQ(mirror.applied(), 0u);
+    for (std::uint32_t k = 0; k < 4; ++k) EXPECT_EQ(mirror.value(k), 0u);
+    EXPECT_FALSE(mstore.has_base());
+    return result;
+  };
+  Checkpoint shuffled = base;
+  std::swap(shuffled.entries[0], shuffled.entries[1]);
+  EXPECT_EQ(refused(shuffled), CheckpointStore::Apply::kMalformed);
+  Checkpoint short_base = base;
+  short_base.entries.pop_back();
+  EXPECT_EQ(refused(short_base), CheckpointStore::Apply::kMalformed);
+  Checkpoint long_base = base;
+  long_base.entries.emplace_back(4, 99);
+  EXPECT_EQ(refused(long_base), CheckpointStore::Apply::kMalformed);
+  Checkpoint far_key = base;
+  far_key.entries[3].first = 0xFFFFFFFFu;
+  EXPECT_EQ(refused(far_key), CheckpointStore::Apply::kMalformed);
+
+  // A delta whose key lies outside the base: refused, chain untouched.
+  AppState mirror(4);
+  CheckpointStore mstore(1);
+  ASSERT_EQ(mstore.apply(base, mirror), CheckpointStore::Apply::kApplied);
+  (void)primary.apply_next();
+  Checkpoint delta = pstore.take(primary);
+  const Checkpoint good = delta;
+  delta.entries.emplace_back(0xFFFFFFFFu, 7);
+  EXPECT_EQ(mstore.apply(delta, mirror), CheckpointStore::Apply::kMalformed);
+  EXPECT_EQ(mstore.last_epoch(), base.epoch);
+  EXPECT_EQ(mirror.digest(), base.digest);
+  EXPECT_EQ(mstore.apply(good, mirror), CheckpointStore::Apply::kApplied);
+  EXPECT_EQ(mstore.chain(), pstore.chain());
 }
 
 }  // namespace
