@@ -2,7 +2,7 @@
 """Interleaved parent/change benchmark pairs, and the perf trajectory.
 
     perf_pairs.py --parent DIR --change DIR --workload W [--seed 2004]
-                  [--seconds 30] [--pairs 5] [--json OUT]
+                  [--seconds 30] [--pairs 5]
                   [--append ci/perf_trajectory.tsv --pr N --base COMMIT]
 
 Runs `python3 perfbench/run.py` in two checkouts, alternating which side
@@ -58,7 +58,6 @@ def main():
     ap.add_argument("--seed", type=int, default=2004)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--json", help="write every run's metrics here")
     ap.add_argument("--append", help="trajectory file to extend")
     ap.add_argument("--pr", type=int)
     ap.add_argument("--base", help="parent commit of the measured change")
@@ -74,9 +73,6 @@ def main():
             runs[side].append(run_once(checkout, args.workload, args.seed,
                                        args.seconds))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(runs, fh)
 
     bench = os.path.join(args.change, "BENCHMARK.json")
     with open(bench, encoding="utf-8") as fh:

@@ -559,15 +559,26 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
                                 encode_ctrl(lr));
 }
 
-sim::Task<void> ServerMead::request_resync(std::uint64_t have_epoch) {
+sim::Task<void> ServerMead::request_resync() {
   // A live mirror fell off the delta chain (dropped frame under a
-  // partition, or joined after the base): ask for a directed re-send.
-  if (await_nonce_ != 0 || restoring_) co_return;
+  // partition, or joined after the base): ask for a directed re-send of
+  // the epochs after the one we hold. One request is outstanding at a
+  // time, but its answer is lost when the primary dies or rotates out
+  // before its closing LogReplay (or is still listed first, dead, when
+  // the request is ordered), so a gap that outlives restore_deadline
+  // asks again.
+  if (restoring_) co_return;
+  const TimePoint now = proc_->sim().now();
+  if (await_nonce_ != 0 && now - resync_sent_ < cfg_.state.restore_deadline) {
+    co_return;
+  }
   await_nonce_ = make_nonce();
+  resync_sent_ = now;
   ++stats_.resyncs;
   (void)co_await gc_->multicast(
       ckpt_group(cfg_.service),
-      encode_ctrl(CkptRequest{cfg_.member, await_nonce_, have_epoch}));
+      encode_ctrl(CkptRequest{cfg_.member, await_nonce_,
+                              ckpt_store_->last_epoch()}));
 }
 
 void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
@@ -613,15 +624,13 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
     case state::CheckpointStore::Apply::kMalformed:
       break;
     case state::CheckpointStore::Apply::kGap:
-      if (d.nonce == 0) {
-        proc_->sim().spawn(request_resync(ckpt_store_->last_epoch()));
-      }
+      if (d.nonce == 0) proc_->sim().spawn(request_resync());
       break;
     case state::CheckpointStore::Apply::kDigestMismatch:
       // Cross-verification failed: our mirror diverged — resync from the
-      // authoritative chain, base included.
+      // authoritative chain.
       digest_mismatches_->add();
-      if (d.nonce == 0) proc_->sim().spawn(request_resync(0));
+      if (d.nonce == 0) proc_->sim().spawn(request_resync());
       break;
   }
 }

@@ -180,8 +180,7 @@ class ServerMead final : public net::SocketApi {
   void drain_pull_pending();
   /// Pull mode: runs the stashed log replay once the chain caught up to it.
   void try_pull_replay();
-  /// Asks for the chain after `have_epoch` (0: the whole chain).
-  sim::Task<void> request_resync(std::uint64_t have_epoch);
+  sim::Task<void> request_resync();
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
   void handle_ckpt_delta(CkptDelta&& d);
@@ -254,6 +253,7 @@ class ServerMead final : public net::SocketApi {
   std::map<std::uint64_t, state::Checkpoint> pull_pending_;
   std::optional<LogReplay> pull_replay_;
   TimePoint restore_begin_;
+  TimePoint resync_sent_;  // when the live-mirror resync in flight asked
   std::uint64_t next_nonce_ = 0;
   obs::Counter* ckpt_bytes_ = nullptr;
   obs::Counter* ckpt_deltas_ = nullptr;

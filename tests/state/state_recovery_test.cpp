@@ -184,6 +184,60 @@ TEST(StateRecoveryTest, GappedLiveMirrorResyncsWithoutABase) {
   }
 }
 
+TEST(StateRecoveryTest, LostResyncAnswerIsRequestedAgain) {
+  // The gapped mirror of the test above asks for a resync, and the primary
+  // that would answer dies while the request is in flight: the survivors
+  // order it while the dead primary still heads their registries, so
+  // nobody answers. No periodic base brings the mirror back onto the
+  // chain: a gap that outlives restore_deadline must ask again, now
+  // answered by the promoted primary.
+  ExperimentSpec spec = stateful_spec();
+  spec.chaos.partition(milliseconds(130), "node3");
+  spec.chaos.heal(milliseconds(150), "node3");
+
+  Experiment exp(spec);
+  ASSERT_TRUE(exp.start());
+  exp.launch_client();
+  const ServiceGroup* g = exp.testbed().group(kServiceName);
+  ASSERT_NE(g, nullptr);
+  TimeOfDayReplica* mirror = nullptr;
+  for (int step = 0; step < 20'000 && mirror == nullptr; ++step) {
+    exp.sim().run_for(microseconds(10));
+    for (const auto& rep : g->replicas()) {
+      if (rep->alive() && rep->mead().stats().resyncs > 0) {
+        mirror = rep.get();
+      }
+    }
+  }
+  ASSERT_NE(mirror, nullptr) << "the isolation cost the mirror no delta";
+  // Kill the primary (the oldest live incarnation) before it delivers the
+  // request.
+  for (const auto& rep : g->replicas()) {
+    if (rep->alive()) {
+      ASSERT_NE(rep.get(), mirror) << "the gapped mirror is the primary";
+      rep->process().kill();
+      break;
+    }
+  }
+  exp.run_to_completion();
+  exp.sim().run_for(milliseconds(500));
+  const ExperimentResult r = exp.collect();
+  EXPECT_TRUE(r.state_ok);
+  EXPECT_EQ(r.group_results[0].invocations_completed, 400u);
+
+  EXPECT_TRUE(mirror->alive());
+  EXPECT_GE(mirror->mead().stats().resyncs, 2u) << "the answer was not lost";
+  const state::CheckpointStore* first = nullptr;
+  for (const auto& rep : g->replicas()) {
+    if (!rep->alive()) continue;
+    const state::CheckpointStore* store = rep->mead().ckpt_store();
+    ASSERT_NE(store, nullptr);
+    if (first == nullptr) first = store;
+    EXPECT_EQ(store->last_epoch(), first->last_epoch()) << rep->member();
+    EXPECT_EQ(store->chain(), first->chain()) << rep->member();
+  }
+}
+
 TEST(StateRecoveryTest, TwoCrashesInOneDeadIntervalRebuildFromOneSurvivor) {
   // Both older replicas die 2 ms apart — before either replacement can
   // announce — leaving a single survivor holding the only copy of the
